@@ -9,6 +9,7 @@ stay byte-identical across runs.
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -40,6 +41,7 @@ from .landweber import (
 from .lr import lr_multiply
 from .oriented import FreeModuleOnSchur, thom_class, zero_section_report
 from .rings import (
+    generator_entries,
     laurent_ring,
     load_presentation,
     parse_expression,
@@ -79,6 +81,25 @@ def _parse_window_pair(text):
     return _parse_span(first), _parse_span(second)
 
 
+_FACTOR_LIMIT = 10 ** 12
+
+
+def _prime_power_base(q):
+    """The prime p with q = p^k for some k >= 1, or None.
+
+    Trial division up to sqrt(q), so q is capped at 10^12 (at most 10^6
+    divisions) and a larger q is refused.
+    """
+    if q < 2:
+        return None
+    if q > _FACTOR_LIMIT:
+        raise InputError(f"{q} is above 10^12, too large to factor")
+    p = next((k for k in range(2, math.isqrt(q) + 1) if q % k == 0), q)
+    while q % p == 0:
+        q //= p
+    return p if q == 1 else None
+
+
 def _parse_primes(text):
     out = []
     for piece in text.split(","):
@@ -87,8 +108,8 @@ def _parse_primes(text):
             p = int(piece)
         except ValueError:
             raise InputError(f"prime list entry {piece!r} is not an integer")
-        if p < 2:
-            raise InputError(f"prime list entry {p} must be at least 2")
+        if _prime_power_base(p) != p:
+            raise InputError(f"prime list entry {p} is not a prime")
         out.append(p)
     if not out:
         raise InputError("the prime list is empty")
@@ -108,7 +129,10 @@ def _parse_field(text):
             raise InputError("number field signature must be two integers")
         return FieldDescriptor.number_field(r1, r2)
     if text[:1] == "F" and text[1:].isdigit():
-        return FieldDescriptor.finite(int(text[1:]))
+        q = int(text[1:])
+        if _prime_power_base(q) is None:
+            raise InputError(f"F{q}: a finite field has prime-power size")
+        return FieldDescriptor.finite(q)
     raise InputError(
         f"unknown field {text!r}; use Q, F<q>, or number:r1,r2")
 
@@ -183,12 +207,9 @@ def _load_module(doc):
     if "ring" not in doc:
         raise InputError("module file needs a 'ring' presentation")
     ring = load_presentation(doc["ring"])
-    generators = []
-    for g in doc.get("generators", [{"name": "e", "adams_degree": 0}]):
-        if "name" not in g or "adams_degree" not in g:
-            raise InputError(
-                "module generator needs 'name' and 'adams_degree'")
-        generators.append((g["name"], g["adams_degree"]))
+    generators = [(g["name"], g["adams_degree"]) for g in generator_entries(
+        doc.get("generators", [{"name": "e", "adams_degree": 0}]),
+        {"name", "adams_degree"})]
     relations = []
     for rel in doc.get("relations", []):
         if not isinstance(rel, dict):

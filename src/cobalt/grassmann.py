@@ -325,11 +325,9 @@ def complex_report(n, d):
             if pi_matrix and pi_matrix[0]:
                 kernel = snf.kernel_basis(pi_matrix)
             else:
-                kernel = [[1 if i == j else 0 for j in range(dim)]
-                          for i in range(dim)]
+                kernel = snf.identity_matrix(dim)
         else:
-            kernel = [[1 if i == j else 0 for j in range(dim)]
-                      for i in range(dim)]
+            kernel = snf.identity_matrix(dim)
 
         # image of the inclusion, via reduced determinant representatives
         image_vectors = []

@@ -23,7 +23,6 @@ prime is regular or quotient_vanishes.
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InhomogeneousRelation, InputError
 from .fgl import fgl_additive, fgl_multiplicative, fgl_universal_rational, \
@@ -199,7 +198,7 @@ class _Analyzer:
         if width == 0:
             return True
         if self.rational:
-            return snf.rational_rank(_scaled(lattice)) == width
+            return snf.rational_rank(lattice) == width
         return snf.quotient_is_zero(width, lattice, p=self.p_local)
 
     def multiplication_matrix(self, v, source, target_position, width):
@@ -218,8 +217,7 @@ class _Analyzer:
         _, src_pos, src_lat = self.lattice(degree, self._stage)
         target, tgt_pos, tgt_lat = self.lattice(degree + shift, self._stage)
         nx = len(source)
-        identity = [[1 if i == j else 0 for j in range(nx)]
-                    for i in range(nx)]
+        identity = snf.identity_matrix(nx)
         matrix = self.multiplication_matrix(v, source, tgt_pos, len(target))
         if self.rational:
             if len(target) == 0:
@@ -228,7 +226,8 @@ class _Analyzer:
                 # solve T x = B y over Q: kernel of [T | -B], x parts
                 raw = [list(matrix[i]) + [-vec[i] for vec in tgt_lat]
                        for i in range(len(target))]
-                preimage = [k[:nx] for k in snf.kernel_basis(_scaled(raw))]
+                kernel = snf.kernel_basis(snf.integer_rows(raw))
+                preimage = [k[:nx] for k in kernel]
             for x in preimage:
                 if not snf.rational_in_span(src_lat, x):
                     return False, x
@@ -282,24 +281,6 @@ class _Analyzer:
             return StageResult(
                 n, "window_inconclusive",
                 detail="monomial enumeration hit the exponent bound")
-
-
-def _scaled(rows):
-    """Clear denominators row by row (kernel and rank are unchanged)."""
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def default_exponent_bound(module, sequence, window):

@@ -13,10 +13,11 @@ once its relations are imposed.
 
 Graded components are analyzed degreewise without Groebner bases: the
 monomials of one Adams degree are enumerated under an exponent bound,
-all relation multiples landing in that degree are assembled into an
-integer lattice, and Smith normal form yields rank and torsion.  The
-report carries a `truncated` flag whenever the bound may have cut the
-enumeration short; when the flag is off the invariants are exact.
+all relation multiples landing in that degree are assembled into a
+matrix, one fraction-free echelon yields the rank and a monomial basis,
+and over Z the Smith normal form adds the torsion.  The report carries
+a `truncated` flag whenever the bound may have cut the enumeration
+short; when the flag is off the invariants are exact.
 """
 
 from dataclasses import dataclass, field
@@ -486,73 +487,15 @@ def graded_component(ring, degree, exponent_bound=None):
                 vec[position[exps]] = c
             rows.append(vec)
 
-    if ring.base == "Q":
-        int_rows = _clear_denominators(rows)
-        rank = snf.rational_rank(int_rows) if int_rows else 0
-        free = len(carrier) - rank
-        torsion = []
-        pivots = _pivot_columns(int_rows)
-    else:
-        int_rows = rows
-        if int_rows:
-            form = snf.smith_normal_form(int_rows)
-            free = len(carrier) - form.rank
-            torsion = [d for d in form.divisors if d > 1]
-        else:
-            free = len(carrier)
-            torsion = []
-        pivots = _pivot_columns(int_rows)
+    pivots = set(snf.pivot_columns(rows))
+    free = len(carrier) - len(pivots)
+    torsion = []
+    if ring.base != "Q" and rows:
+        torsion = [d for d in snf.smith_normal_form(rows).divisors if d > 1]
     basis = [m for i, m in enumerate(carrier) if i not in pivots]
     note = "exponent bound was active; invariants may be incomplete" \
         if truncated else ""
     return GradedComponentReport(degree, free, torsion, basis, truncated, note)
-
-
-def _clear_denominators(rows):
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _pivot_columns(rows):
-    """Pivot columns of the rational row echelon form."""
-    if not rows:
-        return set()
-    a = [[Fraction(x) for x in row] for row in rows]
-    m, n = len(a), len(a[0])
-    pivots = set()
-    r = 0
-    for col in range(n):
-        hit = None
-        for i in range(r, m):
-            if a[i][col]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        a[r], a[hit] = a[hit], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        pivots.add(col)
-        r += 1
-        if r == m:
-            break
-    return pivots
 
 
 # -- expression parser ------------------------------------------------------------
@@ -676,6 +619,27 @@ def parse_expression(text, ring):
     return value
 
 
+def generator_entries(entries, fields):
+    """Check a JSON generator list and return it.
+
+    It must be a list of objects, each with a 'name' and an integer
+    'adams_degree' and no key outside `fields`.
+    """
+    if not isinstance(entries, list) \
+            or not all(isinstance(g, dict) for g in entries):
+        raise InputError("'generators' must be a list of objects")
+    for g in entries:
+        extra = set(g) - fields
+        if extra:
+            raise InputError(f"unknown generator fields {sorted(extra)}")
+        if "name" not in g or "adams_degree" not in g:
+            raise InputError("generator needs 'name' and 'adams_degree'")
+        degree = g["adams_degree"]
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise InputError("adams_degree must be an integer")
+    return entries
+
+
 def load_presentation(doc):
     """Build a Ring from its JSON-style dict presentation.
 
@@ -691,14 +655,8 @@ def load_presentation(doc):
             raise InputError(f"unknown presentation field {key!r}")
     base = doc.get("base")
     gens = []
-    for g in doc.get("generators", []):
-        extra = set(g) - {"name", "adams_degree", "invertible"}
-        if extra:
-            raise InputError(f"unknown generator fields {sorted(extra)}")
-        if "name" not in g or "adams_degree" not in g:
-            raise InputError("generator needs 'name' and 'adams_degree'")
-        if not isinstance(g["adams_degree"], int):
-            raise InputError("adams_degree must be an integer")
+    for g in generator_entries(doc.get("generators", []),
+                               {"name", "adams_degree", "invertible"}):
         gens.append(GenSpec(str(g["name"]), g["adams_degree"],
                             bool(g.get("invertible", False))))
     ring = Ring(base, gens)

@@ -1,11 +1,15 @@
 """Exact integer and rational linear algebra.
 
 Matrices are lists of row lists with Python int entries (arbitrary
-precision), rational work uses fractions.Fraction.  The centerpiece is
-smith_normal_form, which returns the elementary divisors together with
-the unimodular transforms and their inverses; everything else (kernels,
-lattice membership, quotient invariants, preimage lattices) is phrased
-in terms of it.
+precision); rational matrices may also hold fractions.Fraction entries.
+Two kernels do all the work:
+
+- smith_normal_form returns the elementary divisors together with the
+  unimodular transforms and their inverses; kernels, lattice membership,
+  quotient invariants and preimage lattices are phrased through it.
+- pivot_columns is a fraction-free row echelon: rows are cleared of
+  denominators by integer_rows and eliminated over Z.  Rank, pivots and
+  rational spans are phrased through it.
 
 Lattices are represented as plain lists of generator vectors living in
 Z^n; they need not be independent.  An optional prime p switches the
@@ -14,7 +18,7 @@ to p are treated as units.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 
 def identity_matrix(n):
@@ -200,8 +204,7 @@ def smith_normal_form(matrix):
 def kernel_basis(matrix):
     """Integer basis of {x : matrix @ x = 0}, as a list of vectors."""
     if not matrix or not matrix[0]:
-        n = len(matrix[0]) if matrix else 0
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)] if n else []
+        return identity_matrix(len(matrix[0]) if matrix else 0)
     s = smith_normal_form(matrix)
     return [[s.v[i][j] for i in range(s.cols)] for j in range(s.rank, s.cols)]
 
@@ -327,7 +330,7 @@ def preimage_lattice(matrix, target_gens, p=None):
     if p is not None:
         gens = p_saturation(target_gens, m, p)
     if m == 0:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return identity_matrix(n)
     stacked = [matrix[i][:] + [-g[i] for g in gens] for i in range(m)]
     out = []
     for vec in kernel_basis(stacked):
@@ -339,48 +342,73 @@ def preimage_lattice(matrix, target_gens, p=None):
 
 # -- rational routines ---------------------------------------------------------
 
-def rational_rank(matrix):
-    if not matrix or not matrix[0]:
-        return 0
-    a = [[Fraction(x) for x in row] for row in matrix]
-    m, n = len(a), len(a[0])
-    rank = 0
-    col = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            if a[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
+def integer_rows(matrix):
+    """Scale each int or Fraction row by the lcm of its denominators.
+
+    Each row only changes by a nonzero factor, so row spaces, ranks,
+    pivots and kernels are unchanged.
+    """
+    out = []
+    for row in matrix:
+        denom = lcm(1, *(x.denominator for x in row))
+        out.append([x.numerator * (denom // x.denominator) for x in row])
+    return out
+
+
+def pivot_columns(matrix):
+    """Pivot columns of the row echelon form over Q, in increasing order.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968, with row
+    contents in place of his exact divisions): rows are cleared of
+    denominators, each step combines two integer rows with cofactors
+    reduced by their gcd, and every new row is divided by its content,
+    so entries stay as small as the row space allows.  The pivot
+    columns, and hence the rank, depend only on the matrix.
+
+    >>> pivot_columns([[2, 4, 1], [1, 2, 3], [3, 6, 4]])
+    [0, 2]
+    """
+    rows = [row for row in integer_rows(matrix) if any(row)]
+    width = len(matrix[0]) if matrix else 0
+    pivots = []
+    for col in range(width):
+        if not rows:
             break
-    return rank
+        hit = next((i for i, row in enumerate(rows) if row[col]), None)
+        if hit is None:
+            continue
+        top = rows.pop(hit)
+        pivots.append(col)
+        remaining = []
+        for row in rows:
+            if row[col]:
+                g = gcd(top[col], row[col])
+                a, b = top[col] // g, row[col] // g
+                row = [a * x - b * y for x, y in zip(row, top)]
+                content = gcd(*row)
+                if not content:
+                    continue
+                if content > 1:
+                    row = [x // content for x in row]
+            remaining.append(row)
+        rows = remaining
+    return pivots
+
+
+def rational_rank(matrix):
+    """Rank over Q of an int or Fraction matrix."""
+    return len(pivot_columns(matrix))
 
 
 def rational_in_span(vectors, vec):
     """Is vec a rational combination of the given vectors?"""
-    if all(x == 0 for x in vec):
+    if not any(vec):
         return True
-    if not vectors:
-        return False
-    base = [list(v) for v in vectors]
-    return rational_rank(base + [list(vec)]) == rational_rank(base)
+    vectors = list(vectors)
+    return rational_rank(vectors + [vec]) == rational_rank(vectors)
 
 
 def rational_spans_equal(vecs_a, vecs_b):
-    ra = rational_rank([list(v) for v in vecs_a]) if vecs_a else 0
-    rb = rational_rank([list(v) for v in vecs_b]) if vecs_b else 0
-    if ra != rb:
-        return False
-    both = [list(v) for v in vecs_a] + [list(v) for v in vecs_b]
-    return rational_rank(both) == ra if both else True
+    vecs_a, vecs_b = list(vecs_a), list(vecs_b)
+    rank = rational_rank(vecs_a)
+    return rational_rank(vecs_b) == rank == rational_rank(vecs_a + vecs_b)

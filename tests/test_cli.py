@@ -238,3 +238,74 @@ def test_negative_window_value_after_space(capsys):
                             "--window", "-3:3")
     assert code == 0
     assert report["window"] == [-3, 3]
+
+
+def _module_file(tmp_path, doc):
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _landweber_on_module(capsys, module):
+    return run(capsys, "landweber", "--law", "additive", "--module", module,
+               "--primes", "2", "--height", "0", "--window", "0:2")
+
+
+@pytest.mark.parametrize("degree", ["abc", "2", 1.5, True])
+def test_module_generator_degree_must_be_an_integer(capsys, tmp_path,
+                                                    degree):
+    module = _module_file(tmp_path, {
+        "ring": {"base": "Z", "generators": [], "relations": []},
+        "generators": [{"name": "e", "adams_degree": degree}]})
+    code, out = _landweber_on_module(capsys, module)
+    assert code == 2
+    assert out == ""
+
+
+def test_module_generators_must_be_a_list_of_objects(capsys, tmp_path):
+    module = _module_file(tmp_path, {
+        "ring": {"base": "Z", "generators": [], "relations": []},
+        "generators": "e"})
+    code, _ = _landweber_on_module(capsys, module)
+    assert code == 2
+
+
+def test_ring_generators_must_be_a_list_of_objects(capsys, tmp_path):
+    module = _module_file(tmp_path, {
+        "ring": {"base": "Z", "generators": "x", "relations": []}})
+    code = main(["landweber", "--law", "additive", "--module", module,
+                 "--primes", "2", "--height", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "list of objects" in err
+    assert "unknown generator fields" not in err
+
+
+@pytest.mark.parametrize("primes", ["4", "2,9", "1", "-3"])
+def test_landweber_rejects_non_primes(capsys, primes):
+    code, out = run(capsys, "landweber", "--law", "multiplicative",
+                    "--primes", primes, "--height", "1")
+    assert code == 2
+    assert out == ""
+
+
+def test_landweber_refuses_primes_too_large_to_check(capsys):
+    code, _ = run(capsys, "landweber", "--law", "additive",
+                  "--primes", str(10 ** 12 + 39), "--height", "0")
+    assert code == 2
+
+
+@pytest.mark.parametrize("field", ["F6", "F1", "F0", "F12"])
+def test_cobordism_rejects_non_prime_power_fields(capsys, field):
+    code, out = run(capsys, "cobordism", "--field", field,
+                    "--window", "0:1,0:1")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("field", ["F2", "F7", "F8", "F9"])
+def test_cobordism_accepts_prime_power_fields(capsys, field):
+    code, report = run_json(capsys, "cobordism", "--field", field,
+                            "--window", "0:1,0:1")
+    assert code == 0
+    assert report["field"] == field

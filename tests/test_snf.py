@@ -1,10 +1,13 @@
 """Exact integer linear algebra: Smith form, lattices, saturations."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobalt import snf
+from echelon_oracle import pivot_columns as oracle_pivot_columns
 
 
 def check_factorization(a):
@@ -144,6 +147,51 @@ def test_rational_helpers():
     assert not snf.rational_in_span([[1, 1, 0]], [1, 0, 0])
     assert snf.rational_spans_equal([[1, 0], [0, 1]], [[1, 1], [1, -1]])
     assert not snf.rational_spans_equal([[1, 0]], [[1, 1], [1, -1]])
+
+
+def _matrices(entries):
+    """m x n matrices with 0 <= m, n <= 6, often with zero rows/columns."""
+    def build(shape):
+        m, n = shape
+        row = st.lists(entries, min_size=n, max_size=n)
+        zero_row = st.just([0] * n)
+        return st.lists(st.one_of(row, row, zero_row), min_size=m,
+                        max_size=m)
+
+    def blank_columns(args):
+        matrix, cols = args
+        return [[0 if j in cols else x for j, x in enumerate(row)]
+                for row in matrix]
+
+    shapes = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    return st.tuples(shapes.flatmap(build),
+                     st.sets(st.integers(0, 5), max_size=3)).map(
+                         blank_columns)
+
+
+_small_ints = st.integers(-4, 4)
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(_small_ints))
+def test_pivot_columns_match_oracle_on_integer_matrices(matrix):
+    pivots = snf.pivot_columns(matrix)
+    assert pivots == sorted(oracle_pivot_columns(matrix))
+    assert len(pivots) == snf.smith_normal_form(matrix).rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(st.one_of(_small_ints, _fractions)))
+def test_pivot_columns_match_oracle_on_rational_matrices(matrix):
+    assert snf.pivot_columns(matrix) == \
+        sorted(oracle_pivot_columns(matrix))
+
+
+def test_integer_rows_clears_denominators_per_row():
+    rows = snf.integer_rows([[Fraction(1, 2), Fraction(1, 3), 1], [2, 0, 4],
+                             [], [Fraction(-3, 4), 0, Fraction(5, 6)]])
+    assert rows == [[3, 2, 6], [2, 0, 4], [], [-9, 0, 10]]
 
 
 def test_determinism():
