@@ -7,17 +7,19 @@ a inside the d x r box, form a Z-basis; Delta_a is the d x d
 determinant with (row, col) entry x_{a_row - row + col} (x_0 = 1,
 x_k = 0 outside 0..r).
 
-Reduction to the Schur basis is exact integer linear algebra degree by
-degree: express a homogeneous polynomial over the degree's monomial
-carrier and solve against [Schur columns | relation-multiple columns].
-The Schur coordinates of any representative are unique because the
-Schur classes are independent modulo the relation lattice.
+Reduction to the Schur basis is Pieri straightening: x_i acts as the
+one-row class Delta_(i), so multiplying by it adds a horizontal i-strip
+to every shape, and shapes that leave the d x r box vanish (Fulton,
+Young Tableaux, CUP 1997, section 9.4).  Each monomial is reduced by
+growing the empty shape one generator at a time; no linear algebra is
+involved.
 """
 
 import os
 from functools import lru_cache
 
-from .errors import BoundExceeded, IllFormed, InputError, PartitionOutOfBox
+from .errors import BoundExceeded, InputError, PartitionOutOfBox
+from .lr import lr_multiply
 from .rings import Polynomial, Ring, GenSpec, graded_component
 from .series import TruncSeries
 from . import snf
@@ -95,7 +97,6 @@ class GrassRing:
             if not c.is_zero():
                 self.ring.impose(c)
         self._schur_cache = {}
-        self._degree_cache = {}
 
     # -- combinatorics -------------------------------------------------------
 
@@ -143,67 +144,49 @@ class GrassRing:
             self._schur_cache[a] = schur_polynomial(self.ring, a, self.d)
         return self._schur_cache[a]
 
-    def _degree_data(self, degree):
-        """Carrier monomials, Schur columns and relation lattice at a degree."""
-        if degree in self._degree_cache:
-            return self._degree_cache[degree]
-        bound = max(degree, 1)
-        carrier, flagged = self.ring.monomials_of_degree(degree, bound)
-        if flagged:
-            raise IllFormed("unexpected truncation in a positively graded ring")
-        position = {m: i for i, m in enumerate(carrier)}
-        parts = self.partitions(degree)
-        columns = []
-        for lam in parts:
-            columns.append(self._vectorize(self.schur(lam), position))
-        lattice_start = len(columns)
-        for rel in self.ring.relations:
-            rel_degree = rel.adams_degree()
-            mults, _ = self.ring.monomials_of_degree(
-                degree - rel_degree, bound)
-            for m in mults:
-                prod = Polynomial(self.ring, {m: 1}) * rel
-                columns.append(self._vectorize(prod, position))
-        matrix = [[col[i] for col in columns] for i in range(len(carrier))]
-        data = (carrier, position, parts, matrix, lattice_start)
-        self._degree_cache[degree] = data
-        return data
+    def _pieri(self, shape, k):
+        """Shapes in the box that add a horizontal k-strip to `shape`.
 
-    def _vectorize(self, poly, position):
-        vec = [0] * len(position)
-        for exps, c in poly.terms.items():
-            vec[position[exps]] = c
-        return vec
+        Row i may grow up to the old length of row i - 1 (r for the
+        first row), so no two added boxes share a column.
+        """
+        old = shape + (0,) * (self.d - len(shape))
+        grown = [((), 0)]
+        for row, base in enumerate(old):
+            cap = old[row - 1] if row else self.r
+            grown = [(prefix + (length,), added + length - base)
+                     for prefix, added in grown
+                     for length in range(base, min(cap, base + k - added) + 1)]
+        return [tuple(x for x in prefix if x)
+                for prefix, added in grown if added == k]
 
     def reduce(self, poly):
         """Schur coordinates of a polynomial representative.
 
-        Returns {partition: int} with zero coefficients omitted.  Splits
-        into homogeneous parts, so any polynomial is accepted.
+        Returns {partition: int} with zero coefficients omitted, ordered
+        by degree and then as in `partitions(degree)`.  Any polynomial
+        in Z[x1..xr] is accepted: each monomial starts at the empty
+        shape and gains one horizontal i-strip per factor x_i.
         """
         if poly.ring is not self.ring:
             raise InputError("polynomial is not over this ring's presentation")
-        out = {}
-        by_degree = {}
+        totals = {}
         for exps, c in poly.terms.items():
-            by_degree.setdefault(self.ring.monomial_degree(exps), []).append(
-                (exps, c))
-        for degree, terms in sorted(by_degree.items()):
-            carrier, position, parts, matrix, _ = self._degree_data(degree)
-            vec = [0] * len(carrier)
-            for exps, c in terms:
-                vec[position[exps]] = c
-            if not matrix or not matrix[0]:
-                if any(vec):
-                    raise IllFormed("nonzero class in an empty component")
-                continue
-            sol = snf.solve_int(matrix, vec)
-            if sol is None:
-                raise IllFormed("representative does not reduce; "
-                                "presentation is inconsistent")
-            for lam, c in zip(parts, sol):
-                if c:
-                    out[lam] = c
+            shapes = {(): c}
+            for i, e in enumerate(exps, 1):
+                for _ in range(e):
+                    step = {}
+                    for shape, coeff in shapes.items():
+                        for mu in self._pieri(shape, i):
+                            step[mu] = step.get(mu, 0) + coeff
+                    shapes = step
+            for lam, coeff in shapes.items():
+                totals[lam] = totals.get(lam, 0) + coeff
+        out = {}
+        for degree in sorted({sum(lam) for lam in totals}):
+            for lam in self.partitions(degree):
+                if totals.get(lam):
+                    out[lam] = totals[lam]
         return out
 
     # -- products and the pairing ---------------------------------------------
@@ -431,3 +414,16 @@ def gram_report(n, d):
                 if matrix[i][j] != want:
                     return False, (degree, a, b, matrix[i][j], want)
     return True, None
+
+
+def products_report(n, d):
+    """Products of all pairs of basis classes against tableau counting.
+
+    Returns the pairs (a, b), in basis order, where Delta_a * Delta_b
+    differs from the Littlewood-Richardson product; empty when the two
+    routes agree everywhere.
+    """
+    G = grassmannian(n, d)
+    box = G.partitions()
+    return [(a, b) for a in box for b in box
+            if G.multiply(a, b) != lr_multiply(a, b, d, n - d)]

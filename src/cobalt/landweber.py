@@ -228,8 +228,10 @@ class _Analyzer:
                        for i in range(len(target))]
                 kernel = snf.kernel_basis(snf.integer_rows(raw))
                 preimage = [k[:nx] for k in kernel]
-            for x in preimage:
-                if not snf.rational_in_span(src_lat, x):
+            nonzero = [x for x in preimage if any(x)]
+            base = snf.rational_rank(src_lat) if nonzero else 0
+            for x in nonzero:
+                if snf.rational_rank(src_lat + [x]) != base:
                     return False, x
             return True, None
         if len(target) == 0:

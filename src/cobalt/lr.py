@@ -4,9 +4,9 @@ A second, combinatorial route to the Schur structure constants: the
 coefficient of Delta_lam in Delta_a * Delta_b counts skew semistandard
 tableaux of shape lam/a with content b whose reverse reading word is a
 lattice word.  Inside the d x r box the product truncates by dropping
-shapes that do not fit.  This module shares no code with the
-determinant-and-lattice reduction in the ring itself, so agreement
-between the two is a genuine cross-check.
+shapes that do not fit.  This module shares no code with the ring's
+own route (determinant products reduced by Pieri straightening), so
+agreement between the two is a genuine cross-check.
 """
 
 

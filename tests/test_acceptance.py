@@ -54,10 +54,11 @@ def test_c04_structure_constants():
     elapsed = time.monotonic() - start
     passed = result["pass"] and strips_ok
     record_acceptance("4 structure constants (n<=5, two oracles)",
-                      passed, elapsed)
+                      passed and elapsed < 10, elapsed, 10)
     assert result["pass"], result["details"]
     assert strips_ok
     assert result["details"]["pinned_pieri"]
+    assert elapsed < 10, f"structure constants took {elapsed:.1f}s, budget 10s"
 
 
 def test_c05_gram_matrices():

@@ -43,6 +43,24 @@ def test_grass_single_check_and_full_box(capsys):
     assert report["checks"] == [{"name": "pairing", "pass": True}]
 
 
+def test_grass_products_at_the_frontier(capsys):
+    # all 1225 products of R(7, 3) against tableau counting
+    code, report = run_json(capsys, "grass", "--n", "7", "--d", "3",
+                            "--verify", "products")
+    assert code == 0
+    assert report["checks"] == [{"name": "products", "pass": True}]
+
+
+def test_grass_products_witness(capsys, monkeypatch):
+    monkeypatch.setattr("cobalt.grassmann.lr_multiply",
+                        lambda a, b, d, r: {})
+    code, report = run_json(capsys, "grass", "--n", "3", "--d", "1",
+                            "--verify", "products")
+    assert code == 1
+    assert report["checks"] == [{"name": "products", "pass": False,
+                                 "witness": {"a": [], "b": []}}]
+
+
 def test_fgl_report(capsys):
     code, report = run_json(capsys, "fgl", "--law", "multiplicative",
                             "--N", "4", "--check", "--p-series", "2",

@@ -12,11 +12,14 @@ from cobalt.grassmann import (
     grassmannian,
     partitions_in_box,
     partitions_of,
+    products_report,
     schur_polynomial,
     size_limit,
     verify_ranks,
 )
+from cobalt.rings import Polynomial
 
+from lattice_oracle import LatticeReducer
 from lr_oracle import oracle_multiply
 
 
@@ -91,6 +94,40 @@ def test_structure_constants_against_oracle():
                     got = G.multiply(a, b)
                     want = oracle_multiply(a, b, G.d, G.r)
                     assert got == want, (n, d, a, b, got, want)
+
+
+def test_reduce_matches_lattice_oracle():
+    # Pieri straightening against per-degree lattice solves, dict order
+    # included: every product of basis classes, and every monomial
+    # multiple of every relation up to one degree past the box
+    for n in range(7):
+        for d in range(n + 1):
+            G = grassmannian(n, d)
+            oracle = LatticeReducer(G)
+            parts = G.partitions()
+            for a in parts:
+                for b in parts:
+                    poly = G.schur(a) * G.schur(b)
+                    assert list(G.reduce(poly).items()) == \
+                        list(oracle.reduce(poly).items()), (n, d, a, b)
+            top = G.d * G.r
+            for rel in G.ring.relations:
+                for degree in range(top + 2 - rel.adams_degree()):
+                    mults, _ = G.ring.monomials_of_degree(degree,
+                                                           max(degree, 1))
+                    for m in mults:
+                        poly = Polynomial(G.ring, {m: 1}) * rel
+                        assert G.reduce(poly) == oracle.reduce(poly) == {}, \
+                            (n, d, m, rel)
+
+
+def test_products_report(monkeypatch):
+    assert products_report(4, 2) == []
+    assert products_report(3, 3) == []
+    # a wrong second route flags exactly the pairs with a nonzero product
+    monkeypatch.setattr("cobalt.grassmann.lr_multiply",
+                        lambda a, b, d, r: {})
+    assert products_report(2, 1) == [((), ()), ((), (1,)), ((1,), ())]
 
 
 def test_oracle_symmetry():

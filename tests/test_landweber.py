@@ -56,6 +56,19 @@ def test_hz_fails_with_witness():
     assert statuses(verdict) == ["regular", "fails", "fails"]
 
 
+def test_rational_witness_skips_preimages_in_the_source():
+    # over Q with e0 = 0 and x*e1 = 0, both degree-0 basis vectors are
+    # killed by x; only e1 is a witness, since e0 is already zero
+    ring = polynomial_ring("Q", [("x", 1)])
+    x = ring.gen("x")
+    module = ModulePresentation(ring, [("e0", 0), ("e1", 0)],
+                                [{"e0": 1}, {"e1": x}])
+    verdict = check_regular(module, [x], 2, (0, 2))
+    assert statuses(verdict) == ["fails"]
+    assert verdict.stages[0].witness_degree == 0
+    assert verdict.stages[0].detail.endswith("coordinates [0, 1]")
+
+
 def test_torsion_module_fails_at_stage_zero():
     ring = polynomial_ring("Z", [])
     module = ModulePresentation(ring, [("e", 0)], [{"e": 5}])
