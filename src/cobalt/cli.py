@@ -18,7 +18,6 @@ from . import verify as verify_mod
 from .errors import AxiomsFail, CobaltError, InputError
 from .fgl import (
     FormalGroupLaw,
-    _MSeries,
     fgl_additive,
     fgl_check_axioms,
     fgl_multiplicative,
@@ -46,6 +45,7 @@ from .rings import (
     parse_expression,
     polynomial_ring,
 )
+from .series import TruncSeries
 from .tables import (
     FieldDescriptor,
     mgl_rational_table,
@@ -186,7 +186,7 @@ def _custom_law(doc, ring):
                 raise InputError(
                     f"conflicting values for coefficient {key}")
             coeffs[key] = value
-    series = _MSeries(ring, 2, order, coeffs)
+    series = TruncSeries(ring, order, coeffs, nvars=2)
     law = FormalGroupLaw(ring, series, order,
                          exact=bool(doc.get("exact", False)))
     axioms = fgl_check_axioms(law)
@@ -308,7 +308,7 @@ def _cmd_fgl(args):
         report["p_series"] = {
             "p": args.p_series,
             "coefficients": {str(k): str(c)
-                             for k, c in sorted(series.coeffs.items())
+                             for (k,), c in sorted(series.coeffs.items())
                              if not c.is_zero()}}
     if args.landweber is not None:
         prime, height = args.landweber

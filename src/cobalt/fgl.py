@@ -1,13 +1,20 @@
 """Formal group laws with exact coefficient arithmetic.
 
-A FormalGroupLaw wraps a bivariate series F(x, y) = x + y + sum a_ij
-x^i y^j with coefficients in a Ring.  Polynomial laws (additive,
-multiplicative) are exact: every coefficient beyond their support is
-genuinely zero, so they can be evaluated to any order.  Laws built from
-truncated data carry their order and refuse questions beyond it.
+A FormalGroupLaw wraps a TruncSeries in two variables,
+F(x, y) = x + y + sum a_ij x^i y^j, with coefficients in a Ring.
+Polynomial laws (additive, multiplicative) are exact: every coefficient
+beyond their support is genuinely zero, so they can be evaluated to any
+order.  Laws built from truncated data carry their order and refuse
+questions beyond it.
 
 The grading convention puts a_ij in Adams degree i + j - 1, matching
 series variables of degree -1.
+
+Everything is series substitution: the formal sum u +_F v is
+F.subst([u, v]), associativity compares F(F(x, y), z) with
+F(x, F(y, z)) in three variables, and a law is pushed along a strict
+coordinate change phi by composing phi and its inverse with the
+two-variable coordinates x and y.
 
 Logarithms go through the invariant differential: l'(x) is the
 reciprocal of dF/dy at (x, 0), integrated termwise, which needs a Q
@@ -26,126 +33,6 @@ from .errors import (
 )
 from .rings import Polynomial, polynomial_ring
 from .series import TruncSeries
-
-
-class _MSeries:
-    """Truncated multivariate series with Polynomial coefficients."""
-
-    __slots__ = ("ring", "nvars", "order", "coeffs")
-
-    def __init__(self, ring, nvars, order, coeffs=None):
-        self.ring = ring
-        self.nvars = nvars
-        self.order = order
-        clean = {}
-        for exps, c in (coeffs or {}).items():
-            if sum(exps) > order:
-                continue
-            if not isinstance(c, Polynomial):
-                c = ring.const(c)
-            if not c.is_zero():
-                clean[tuple(exps)] = c
-        self.coeffs = clean
-
-    @classmethod
-    def variable(cls, ring, nvars, order, which):
-        exps = [0] * nvars
-        exps[which] = 1
-        return cls(ring, nvars, order, {tuple(exps): 1})
-
-    def coeff(self, exps):
-        return self.coeffs.get(tuple(exps), self.ring.zero())
-
-    def _binop(self, other, f):
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            out[exps] = f(out.get(exps, self.ring.zero()), c)
-        return _MSeries(self.ring, self.nvars,
-                        min(self.order, other.order), out)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return _MSeries(self.ring, self.nvars, self.order,
-                        {e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return _MSeries(self.ring, self.nvars, self.order,
-                            {e: c * other for e, c in self.coeffs.items()})
-        order = min(self.order, other.order)
-        out = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                if sum(exps) > order:
-                    continue
-                key = exps
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return _MSeries(self.ring, self.nvars, order, out)
-
-    __rmul__ = __mul__
-
-    def subst(self, args):
-        """Evaluate at args, a list of zero-constant _MSeries."""
-        if len(args) != self.nvars:
-            raise InputError("wrong number of substitution arguments")
-        for g in args:
-            if not g.coeff((0,) * g.nvars).is_zero():
-                raise InputError("substitution needs zero constant terms")
-        nvars = args[0].nvars
-        order = min([self.order] + [g.order for g in args])
-        one = _MSeries(self.ring, nvars, order, {(0,) * nvars: 1})
-        powers = [{0: one} for _ in args]
-
-        def power(t, k):
-            cache = powers[t]
-            if k not in cache:
-                cache[k] = power(t, k - 1) * args[t]
-            return cache[k]
-
-        total = _MSeries(self.ring, nvars, order, {})
-        for exps, c in sorted(self.coeffs.items()):
-            if sum(exps) > order:
-                continue
-            term = one
-            for t, e in enumerate(exps):
-                if e:
-                    term = term * power(t, e)
-            total = total + term * c
-        return total
-
-    def __eq__(self, other):
-        return (isinstance(other, _MSeries) and self.nvars == other.nvars
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def truncate(self, order):
-        return _MSeries(self.ring, self.nvars, min(order, self.order),
-                        self.coeffs)
-
-
-def _from_univariate(f, nvars, which, order):
-    coeffs = {}
-    for k, c in f.coeffs.items():
-        exps = [0] * nvars
-        exps[which] = k
-        coeffs[tuple(exps)] = c
-    return _MSeries(f.ring, nvars, order, coeffs)
-
-
-def _to_univariate(g, order):
-    coeffs = {}
-    for exps, c in g.coeffs.items():
-        live = [(t, e) for t, e in enumerate(exps) if e]
-        if len(live) > 1:
-            raise InputError("series is not univariate")
-        coeffs[sum(exps)] = c
-    return TruncSeries(g.ring, order, coeffs)
 
 
 class FormalGroupLaw:
@@ -170,25 +57,24 @@ class FormalGroupLaw:
         if not self.exact:
             raise TruncationTooSmall(
                 f"need total degree {order}, law stops at {self.order}")
-        return _MSeries(self.ring, 2, order, self.series.coeffs)
+        return TruncSeries(self.ring, order, self.series.coeffs, nvars=2)
 
     def formal_sum(self, u, v):
         """u +_F v for univariate TruncSeries with zero constant term."""
-        if u.ring is not self.ring or v.ring is not self.ring:
-            raise InputError("operands live over a different ring")
-        order = min(u.order, v.order)
-        g = self._at_order(order).subst([_from_univariate(u, 1, 0, order),
-                                         _from_univariate(v, 1, 0, order)])
-        return _to_univariate(g, order)
+        return self._at_order(min(u.order, v.order)).subst([u, v])
 
     def __repr__(self):
         kind = "exact" if self.exact else f"order {self.order}"
         return f"FormalGroupLaw({kind} over {self.ring.base})"
 
 
+def _variables(ring, order, nvars):
+    """The coordinate series x_0, .., x_{nvars-1} in nvars variables."""
+    return [TruncSeries.variable(ring, order, nvars, t) for t in range(nvars)]
+
+
 def fgl_additive(ring, order=8):
-    x = _MSeries.variable(ring, 2, order, 0)
-    y = _MSeries.variable(ring, 2, order, 1)
+    x, y = _variables(ring, order, 2)
     return FormalGroupLaw(ring, x + y, order, exact=True)
 
 
@@ -200,8 +86,7 @@ def fgl_multiplicative(ring, order=8, beta=None):
         beta = ring.gen("beta")
     elif not isinstance(beta, Polynomial):
         beta = ring.const(beta)
-    x = _MSeries.variable(ring, 2, order, 0)
-    y = _MSeries.variable(ring, 2, order, 1)
+    x, y = _variables(ring, order, 2)
     return FormalGroupLaw(ring, x + y - (x * y) * beta, order, exact=True)
 
 
@@ -227,10 +112,8 @@ def fgl_from_log(log):
     if ring.base != "Q":
         raise NotQAlgebra("building a law from its logarithm needs base Q")
     order = log.order
-    exp = log.revert()
-    inner = _from_univariate(log, 2, 0, order) \
-        + _from_univariate(log, 2, 1, order)
-    series = _compose_outer(exp, inner, order)
+    x, y = _variables(ring, order, 2)
+    series = log.revert().compose(log.compose(x) + log.compose(y))
     return FormalGroupLaw(ring, series, order, exact=False)
 
 
@@ -267,9 +150,7 @@ def fgl_check_axioms(f, order=None, graded=True):
     commutative = all(series.coeff((j, i)) == c
                       for (i, j), c in series.coeffs.items())
 
-    x = _MSeries.variable(f.ring, 3, order, 0)
-    y = _MSeries.variable(f.ring, 3, order, 1)
-    z = _MSeries.variable(f.ring, 3, order, 2)
+    x, y, z = _variables(f.ring, order, 3)
     fxy = series.subst([x, y])
     fyz = series.subst([y, z])
     left = series.subst([fxy, z])
@@ -306,11 +187,9 @@ def pushforward(f, phi):
     strict_iso_check(phi)
     order = min(phi.order, f.order) if not f.exact else phi.order
     inv = phi.revert()
-    series = f._at_order(order)
-    inner = series.subst([_from_univariate(inv, 2, 0, order),
-                          _from_univariate(inv, 2, 1, order)])
-    outer = _compose_outer(phi, inner, order)
-    return FormalGroupLaw(f.ring, outer, order, exact=False)
+    x, y = _variables(f.ring, order, 2)
+    inner = f._at_order(order).subst([inv.compose(x), inv.compose(y)])
+    return FormalGroupLaw(f.ring, phi.compose(inner), order, exact=False)
 
 
 def is_pushforward(f, g, phi, order=None):
@@ -320,28 +199,10 @@ def is_pushforward(f, g, phi, order=None):
         order = min([phi.order]
                     + ([] if f.exact else [f.order])
                     + ([] if g.exact else [g.order]))
-    fs = f._at_order(order)
-    gs = g._at_order(order)
-    left = _compose_outer(phi, fs, order)
-    right = gs.subst([_from_univariate(phi, 2, 0, order),
-                      _from_univariate(phi, 2, 1, order)])
+    x, y = _variables(f.ring, order, 2)
+    left = phi.compose(f._at_order(order))
+    right = g._at_order(order).subst([phi.compose(x), phi.compose(y)])
     return left == right
-
-
-def _compose_outer(phi, inner, order):
-    """phi(inner) for univariate phi and multivariate inner."""
-    ring = phi.ring
-    nvars = inner.nvars
-    out = _MSeries(ring, nvars, order, {})
-    one = _MSeries(ring, nvars, order, {(0,) * nvars: 1})
-    powers = {0: one}
-    for k in sorted(phi.coeffs):
-        if k == 0:
-            continue
-        while max(powers) < k:
-            powers[max(powers) + 1] = powers[max(powers)] * inner
-        out = out + powers[k] * phi.coeffs[k]
-    return out
 
 
 def chern_reparam(ring, order, beta=None):
@@ -372,15 +233,11 @@ def fgl_log(f, order=None):
         raise NotQAlgebra("logarithms need base Q")
     if order is None:
         order = f.order
-    series = f._at_order(order)
-    partial = {}
-    for (i, j), c in series.coeffs.items():
-        if j == 1:
-            partial[i] = c
+    # dF/dy at (x, 0): the coefficients of x^i y, to order - 1
     fy = TruncSeries(f.ring, order - 1,
-                     {i: c for i, c in partial.items() if i <= order - 1})
-    derivative = fy.invert()
-    return derivative.integrate().truncate(order)
+                     {i: c for (i, j), c in f._at_order(order).coeffs.items()
+                      if j == 1})
+    return fy.invert().integrate().truncate(order)
 
 
 def p_series(f, p, order):

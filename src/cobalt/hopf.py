@@ -329,7 +329,7 @@ def _transport_law(law, target, images, order):
     """The same law with coefficients pushed through a ring map."""
     src = law._at_order(order)
     coeffs = {e: c.map_to(target, images) for e, c in src.coeffs.items()}
-    series = type(src)(target, 2, order, coeffs)
+    series = TruncSeries(target, order, coeffs, nvars=2)
     return FormalGroupLaw(target, series, order, exact=law.exact)
 
 

@@ -21,13 +21,11 @@ A sequence is exact for the module when every stage of every requested
 prime is regular or quotient_vanishes.
 """
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import InhomogeneousRelation, InputError
-from .fgl import fgl_additive, fgl_multiplicative, fgl_universal_rational, \
-    landweber_generators
-from .rings import Polynomial, Ring, laurent_ring, polynomial_ring
+from .fgl import landweber_generators
+from .rings import Polynomial
 from . import snf
 
 
@@ -37,8 +35,11 @@ class ModulePresentation:
 
     def __init__(self, ring, generators=None, relations=None):
         self.ring = ring
-        self.generators = [(str(n), int(d)) for n, d in
+        self.generators = [(str(n), d) for n, d in
                            (generators or [("e", 0)])]
+        if any(isinstance(d, bool) or not isinstance(d, int)
+               for _, d in self.generators):
+            raise InputError("module generator degrees must be integers")
         names = [n for n, _ in self.generators]
         if len(set(names)) != len(names):
             raise InputError("duplicate module generator names")
@@ -327,58 +328,7 @@ def check_exact(module, law, primes, height, window, exponent_bound=None):
     return verdicts, all(v.exact for v in verdicts.values())
 
 
-# -- built-in example suite ----------------------------------------------------
-
-
-@dataclass
-class SuiteCase:
-    name: str
-    prime: int
-    expected_statuses: list
-    verdict: LandweberVerdict = None
-
-    @property
-    def passed(self):
-        return [s.status for s in self.verdict.stages] == \
-            self.expected_statuses
-
-
-def _suite_definitions():
-    defs = []
-
-    kgl_ring = laurent_ring("Z", "beta")
-    kgl_law = fgl_multiplicative(kgl_ring)
-    for p in (2, 3, 5):
-        defs.append(("KGL", ModulePresentation.free(kgl_ring), kgl_law, p, 3,
-                     (-6, 6),
-                     ["regular", "regular", "quotient_vanishes",
-                      "quotient_vanishes"]))
-
-    lq_law = fgl_universal_rational(order=6)
-    for p in (2, 3, 5):
-        defs.append(("LQ", ModulePresentation.free(lq_law.ring), lq_law, p, 1,
-                     (0, 5), ["regular", "quotient_vanishes"]))
-
-    hz_ring = polynomial_ring("Z", [])
-    hz_law = fgl_additive(hz_ring)
-    for p in (2, 3):
-        defs.append(("HZ", ModulePresentation.free(hz_ring), hz_law, p, 1,
-                     (-2, 2), ["regular", "fails"]))
-
-    for p in (2, 3):
-        zp_ring = polynomial_ring("Z", [])
-        zp_mod = ModulePresentation(zp_ring, [("e", 0)],
-                                    [{"e": p}])
-        defs.append((f"Z/{p}", zp_mod, fgl_additive(zp_ring), p, 0,
-                     (-2, 2), ["fails"]))
-
-    for p in (2, 3):
-        ku_ring = Ring("Z", [], localized_at=p)
-        ku_law = fgl_multiplicative(ku_ring, beta=1)
-        defs.append((f"KU_({p})", ModulePresentation.free(ku_ring), ku_law,
-                     p, 1, (-2, 2), ["regular", "regular"]))
-
-    return defs
+# -- perturbations -----------------------------------------------------------
 
 
 def perturb_sequence(module, sequence, rng, exponent_bound=6):
@@ -407,33 +357,3 @@ def perturb_sequence(module, sequence, rng, exponent_bound=6):
             extra = extra + Polynomial(ring, {m: c}) * vk
         out.append(v + extra)
     return out
-
-
-def run_builtin_suite(seed=None, perturbations=0):
-    """All built-in cases; optionally re-run each with perturbed sequences.
-
-    Returns (cases, all_as_expected).  With perturbations > 0 a seeded
-    RNG produces that many degree-matched ideal perturbations per case,
-    and their stage statuses must agree with the unperturbed run.
-    """
-    cases = []
-    ok = True
-    for name, module, law, p, height, window, expected in \
-            _suite_definitions():
-        seq = sequence_for_prime(law, p, height)
-        verdict = check_regular(module, seq, p, window)
-        case = SuiteCase(name, p, expected, verdict)
-        cases.append(case)
-        ok = ok and case.passed
-        if perturbations:
-            rng = random.Random((seed if seed is not None else 0) * 1000003
-                                + len(cases))
-            for _ in range(perturbations):
-                alt = perturb_sequence(module, seq, rng)
-                other = check_regular(module, alt, p, window)
-                same = [s.status for s in other.stages] == \
-                    [s.status for s in verdict.stages]
-                ok = ok and same
-                if not same:
-                    case.expected_statuses = expected + ["perturbation drift"]
-    return cases, ok

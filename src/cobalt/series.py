@@ -1,18 +1,31 @@
-"""Truncated power series in one variable with polynomial coefficients.
+"""Truncated power series in n variables with polynomial coefficients.
 
-A TruncSeries holds coefficients 0..N over a Ring; everything past x^N
-is discarded.  The series variable is treated as an Adams degree -1
-class, so a series f with coeff(x^k) homogeneous of degree k - 1 is a
-well-graded transformation of such classes (logarithms, exponentials,
-orientation changes all fit this pattern).
+A TruncSeries holds the coefficients of total degree 0..N over a Ring,
+keyed by exponent tuples of length `nvars`; everything past total
+degree N is discarded.  In one variable (the default) a bare int k
+also stands for (k,).  Each variable is treated as an Adams degree -1
+class, so a series f with coeff(x^k) homogeneous of degree |k| - 1 is
+a well-graded transformation of such classes (logarithms, orientation
+changes and formal group laws all fit this pattern).
 
-Composition requires the inner series to vanish at 0, multiplicative
-inversion requires a unit constant term, and reversion requires zero
-constant term plus a unit linear term; violations raise the dedicated
-errors rather than producing garbage.
+`subst` evaluates a series at one series per variable, each vanishing
+at 0; `compose` is its one-variable case.  Inversion needs a unit
+constant term and reversion a zero constant term plus a unit linear
+term; these, `derivative`, `integrate` and printing take one variable.
+Violations raise the dedicated errors rather than producing garbage.
+
+F(x, y) = x + y - xy evaluated at x + x^2 and 2x:
+
+>>> from cobalt.rings import polynomial_ring
+>>> ring = polynomial_ring("Z", [])
+>>> F = TruncSeries(ring, 3, {(1, 0): 1, (0, 1): 1, (1, 1): -1}, nvars=2)
+>>> print(F.subst([TruncSeries(ring, 3, {1: 1, 2: 1}),
+...                TruncSeries(ring, 3, {1: 2})]))
+3*x + -x^2 + -2*x^3 + O(x^4)
 """
 
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     BadLeadingCoefficient,
@@ -25,18 +38,20 @@ from .rings import Polynomial
 
 
 class TruncSeries:
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = ("ring", "order", "nvars", "coeffs")
 
-    def __init__(self, ring, order, coeffs=None):
+    def __init__(self, ring, order, coeffs=None, nvars=1):
         if order < 0:
             raise InputError("truncation order must be >= 0")
+        if not isinstance(nvars, int) or nvars < 1:
+            raise InputError("a series needs at least one variable")
         self.ring = ring
         self.order = order
+        self.nvars = nvars
         clean = {}
         for k, c in (coeffs or {}).items():
-            if not isinstance(k, int) or k < 0:
-                raise InputError("series exponents must be nonnegative ints")
-            if k > order:
+            k = self._exponents(k)
+            if sum(k) > order:
                 continue
             if not isinstance(c, Polynomial):
                 c = ring.const(c)
@@ -46,25 +61,41 @@ class TruncSeries:
                 clean[k] = c
         self.coeffs = clean
 
+    def _exponents(self, k):
+        if isinstance(k, int) and self.nvars == 1:
+            k = (k,)
+        if not (isinstance(k, tuple) and len(k) == self.nvars
+                and all(isinstance(e, int) and e >= 0 for e in k)):
+            raise InputError("series exponents must be nonnegative ints")
+        return k
+
     @classmethod
-    def variable(cls, ring, order):
-        return cls(ring, order, {1: ring.one()})
+    def variable(cls, ring, order, nvars=1, which=0):
+        exps = [0] * nvars
+        exps[which] = 1
+        return cls(ring, order, {tuple(exps): ring.one()}, nvars)
 
     def coeff(self, k):
-        return self.coeffs.get(k, self.ring.zero())
+        return self.coeffs.get(self._exponents(k), self.ring.zero())
 
     def truncate(self, order):
-        return TruncSeries(self.ring, min(order, self.order), self.coeffs)
+        return TruncSeries(self.ring, min(order, self.order), self.coeffs,
+                           self.nvars)
+
+    def _require_univariate(self, what):
+        if self.nvars != 1:
+            raise InputError(f"{what} needs a series in one variable")
 
     # -- arithmetic --------------------------------------------------------
 
     def _lift(self, other):
         if isinstance(other, TruncSeries):
-            if other.ring is not self.ring:
+            if other.ring is not self.ring or other.nvars != self.nvars:
                 raise InputError("mixed-ring series arithmetic")
             return other
         if isinstance(other, (int, Fraction, Polynomial)):
-            return TruncSeries(self.ring, self.order, {0: other})
+            return TruncSeries(self.ring, self.order,
+                               {(0,) * self.nvars: other}, self.nvars)
         return NotImplemented
 
     def __add__(self, other):
@@ -74,14 +105,15 @@ class TruncSeries:
         order = min(self.order, other.order)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, self.ring.zero()) + c
-        return TruncSeries(self.ring, order, out)
+            out[k] = out[k] + c if k in out else c
+        return TruncSeries(self.ring, order, out, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncSeries(self.ring, self.order,
-                           {k: -c for k, c in self.coeffs.items()})
+                           {k: -c for k, c in self.coeffs.items()},
+                           self.nvars)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -95,7 +127,8 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Polynomial)):
             return TruncSeries(self.ring, self.order,
-                               {k: c * other for k, c in self.coeffs.items()})
+                               {k: c * other for k, c in self.coeffs.items()},
+                               self.nvars)
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -103,19 +136,17 @@ class TruncSeries:
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
-                if i + j > order:
-                    continue
-                k = i + j
-                prod = a * b
-                out[k] = out.get(k, self.ring.zero()) + prod
-        return TruncSeries(self.ring, order, out)
+                k = tuple(map(add, i, j))
+                if sum(k) <= order:
+                    out[k] = out[k] + a * b if k in out else a * b
+        return TruncSeries(self.ring, order, out, self.nvars)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InputError("series powers must be nonnegative integers")
-        result = TruncSeries(self.ring, self.order, {0: 1})
+        result = self._lift(1)
         for _ in range(k):
             result = result * self
         return result
@@ -123,30 +154,48 @@ class TruncSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (self.ring is other.ring and self.order == other.order
-                and self.coeffs == other.coeffs)
+        return (self.ring is other.ring and self.nvars == other.nvars
+                and self.order == other.order and self.coeffs == other.coeffs)
 
     def is_zero(self):
         return not self.coeffs
 
-    # -- composition and inverses -------------------------------------------
+    # -- substitution and inverses ------------------------------------------
+
+    def subst(self, args):
+        """self(args[0], .., args[nvars - 1]) to the smallest order.
+
+        The arguments share one ring and one number of variables, which
+        the result keeps, and have zero constant terms.
+        """
+        if len(args) != self.nvars:
+            raise InputError("wrong number of substitution arguments")
+        nvars = args[0].nvars
+        zero = (0,) * nvars
+        for g in args:
+            if g.ring is not self.ring or g.nvars != nvars:
+                raise InputError("mixed-ring composition")
+            if zero in g.coeffs:
+                raise NonzeroConstantInner(
+                    "inner series has nonzero constant term")
+        order = min([self.order] + [g.order for g in args])
+        one = TruncSeries(self.ring, order, {zero: 1}, nvars)
+        powers = [[one] for _ in args]
+        total = {}
+        for exps, c in self.coeffs.items():
+            term = None
+            for cache, g, e in zip(powers, args, exps):
+                while len(cache) <= e:
+                    cache.append(cache[-1] * g)
+                if e:
+                    term = cache[e] if term is None else term * cache[e]
+            for k, t in (one if term is None else term).coeffs.items():
+                total[k] = total[k] + t * c if k in total else t * c
+        return TruncSeries(self.ring, order, total, nvars)
 
     def compose(self, inner):
         """self(inner(x)); the inner series must have zero constant term."""
-        if inner.ring is not self.ring:
-            raise InputError("mixed-ring composition")
-        if not inner.coeff(0).is_zero():
-            raise NonzeroConstantInner(
-                "inner series has nonzero constant term")
-        order = min(self.order, inner.order)
-        result = TruncSeries(self.ring, order, {0: self.coeff(0)})
-        power = TruncSeries(self.ring, order, {0: 1})
-        for k in range(1, order + 1):
-            power = power * inner
-            c = self.coeff(k)
-            if not c.is_zero():
-                result = result + power * c
-        return result
+        return self.subst([inner])
 
     def _constant_unit_inverse(self, c, error):
         """1/c for a constant polynomial unit, or raise `error`."""
@@ -161,6 +210,7 @@ class TruncSeries:
 
     def invert(self):
         """Multiplicative inverse; constant term must be a unit constant."""
+        self._require_univariate("inversion")
         inv0 = self._constant_unit_inverse(
             self.coeff(0),
             NonUnitConstantTerm("series constant term is not a unit"))
@@ -178,6 +228,7 @@ class TruncSeries:
 
     def revert(self):
         """Compositional inverse g with self(g(x)) = x up to the order."""
+        self._require_univariate("reversion")
         if not self.coeff(0).is_zero():
             raise BadLeadingCoefficient(
                 "reversion needs zero constant term")
@@ -195,40 +246,42 @@ class TruncSeries:
         return TruncSeries(self.ring, order, g)
 
     def derivative(self):
+        self._require_univariate("the derivative")
         return TruncSeries(self.ring, max(self.order - 1, 0),
-                           {k - 1: c * k for k, c in self.coeffs.items()
+                           {k - 1: c * k for (k,), c in self.coeffs.items()
                             if k >= 1})
 
     def integrate(self):
         """Termwise antiderivative with zero constant; rational base only."""
+        self._require_univariate("integration")
         if self.ring.base != "Q":
             raise NotQAlgebra("integration divides by integers; base must be Q")
         return TruncSeries(self.ring, self.order + 1,
                            {k + 1: c * Fraction(1, k + 1)
-                            for k, c in self.coeffs.items()})
+                            for (k,), c in self.coeffs.items()})
 
     def is_strict(self):
         """Zero constant term and linear coefficient exactly 1."""
         return self.coeff(0).is_zero() and self.coeff(1) == self.ring.one()
 
     def is_homogeneous(self, series_degree=-1):
-        """Each coeff(x^k) homogeneous of degree series_degree + k.
+        """Each coeff(x^k) homogeneous of degree series_degree + |k|.
 
-        With the variable in Adams degree -1 this says the whole series
+        With the variables in Adams degree -1 this says the whole series
         transforms as a class of the given degree.
         """
         for k, c in self.coeffs.items():
             d = c.adams_degree()
-            if d is not None and d != series_degree + k:
+            if d is not None and d != series_degree + sum(k):
                 return False
         return True
 
     def __str__(self):
+        self._require_univariate("printing")
         if not self.coeffs:
             return f"O(x^{self.order + 1})"
         parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
+        for (k,), c in sorted(self.coeffs.items()):
             cs = str(c)
             if k == 0:
                 parts.append(cs)

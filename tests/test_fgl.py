@@ -164,7 +164,7 @@ def test_p_series_additive():
     for p in (2, 3, 5):
         s = p_series(f, p, 6)
         assert s.coeff(1) == ring.const(p)
-        assert all(k == 1 for k in s.coeffs)
+        assert all(k == (1,) for k in s.coeffs)
 
 
 def test_p_series_multiplicative():

@@ -1,0 +1,84 @@
+"""Byte-identity guard: fixed CLI commands keep their exit code and stdout.
+
+`golden_outputs.json` maps each command to its exit code and the SHA-256
+of its stdout.  A refactor that must not change any report runs these
+commands against the recorded hashes.  To record them again, for a
+change that is meant to alter output, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of the JSON file.
+"""
+
+import hashlib
+import io
+import json
+import pathlib
+import tempfile
+from contextlib import redirect_stdout
+
+from cobalt.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_outputs.json")
+
+# x + y - 2*beta*x*y over Q[beta, 1/beta], read by `hopf --induced`
+LAW_FILE = {
+    "ring": {"base": "Q",
+             "generators": [{"name": "beta", "adams_degree": 1,
+                             "invertible": True}],
+             "relations": []},
+    "law": {"order": 3, "exact": True,
+            "coefficients": [{"i": 1, "j": 1, "value": "-2*beta"}]},
+}
+
+
+def _fgl_commands():
+    out = []
+    for law in ("additive", "multiplicative", "universal-q"):
+        for n in range(2, 9):
+            for p in (2, 3):
+                height = max(h for h in range(3) if p ** h <= n)
+                out.append(["fgl", "--law", law, "--N", str(n), "--check",
+                            "--p-series", str(p),
+                            "--landweber", str(p), str(height)])
+    return out
+
+
+COMMANDS = _fgl_commands() + [
+    ["hopf", "--N", str(n)] for n in range(2, 7)
+] + [
+    ["hopf", "--N", "3", "--induced", "{law}"],
+    ["landweber", "--law", "multiplicative", "--primes", "2,3",
+     "--height", "2", "--window", "-4:4"],
+    ["cobordism", "--field", "F4", "--window", "-3:3,-2:2", "--verify"],
+]
+
+
+def _run(argv, law_path):
+    argv = [str(law_path) if a == "{law}" else a for a in argv]
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(argv)
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    return {"exit": code, "sha256": digest}
+
+
+def _law_path(directory):
+    path = pathlib.Path(directory) / "law.json"
+    path.write_text(json.dumps(LAW_FILE))
+    return path
+
+
+def test_outputs_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    law_path = _law_path(tmp_path)
+    assert sorted(golden) == sorted(" ".join(a) for a in COMMANDS)
+    for argv in COMMANDS:
+        assert _run(argv, law_path) == golden[" ".join(argv)], argv
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        law_path = _law_path(directory)
+        table = {" ".join(a): _run(a, law_path) for a in COMMANDS}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

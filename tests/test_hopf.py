@@ -8,7 +8,6 @@ import pytest
 from cobalt.errors import AxiomsFail, InputError
 from cobalt.fgl import (
     FormalGroupLaw,
-    _MSeries,
     fgl_additive,
     fgl_multiplicative,
     fgl_universal_rational,
@@ -209,8 +208,8 @@ def test_collapse_identifies_units():
 
 def test_induced_rejects_bad_law():
     Q = polynomial_ring("Q", [])
-    x = _MSeries.variable(Q, 2, 6, 0)
-    y = _MSeries.variable(Q, 2, 6, 1)
+    x = TruncSeries.variable(Q, 6, 2, 0)
+    y = TruncSeries.variable(Q, 6, 2, 1)
     lopsided = FormalGroupLaw(Q, x + y + x * x * y, 6, exact=True)
     with pytest.raises(AxiomsFail):
         induced_hopf(Q, lopsided, 4)

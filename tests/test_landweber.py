@@ -1,15 +1,16 @@
 """Stagewise regularity verdicts on the built-in suite and custom modules."""
 
+import random
+
 import pytest
 
 from cobalt.errors import InhomogeneousRelation, InputError
-from cobalt.fgl import fgl_additive, fgl_multiplicative
+from cobalt.fgl import fgl_additive, fgl_multiplicative, fgl_universal_rational
 from cobalt.landweber import (
     ModulePresentation,
     check_exact,
     check_regular,
     perturb_sequence,
-    run_builtin_suite,
     sequence_for_prime,
 )
 from cobalt.rings import Ring, laurent_ring, polynomial_ring
@@ -19,16 +20,57 @@ def statuses(verdict):
     return [s.status for s in verdict.stages]
 
 
-def test_builtin_suite_all_expected():
-    cases, ok = run_builtin_suite()
-    assert ok
-    by_name = {}
-    for case in cases:
-        by_name.setdefault(case.name, []).append(case)
-        assert case.passed, (case.name, case.prime,
-                             statuses(case.verdict), case.expected_statuses)
-    assert set(by_name) == {"KGL", "LQ", "HZ", "Z/2", "Z/3",
-                            "KU_(2)", "KU_(3)"}
+# Each `build` function takes the prime and returns (module, law).
+
+def _kgl(p):
+    ring = laurent_ring("Z", "beta")
+    return ModulePresentation.free(ring), fgl_multiplicative(ring)
+
+
+def _lq(p):
+    law = fgl_universal_rational(order=6)
+    return ModulePresentation.free(law.ring), law
+
+
+def _hz(p):
+    ring = polynomial_ring("Z", [])
+    return ModulePresentation.free(ring), fgl_additive(ring)
+
+
+def _z_mod_p(p):
+    ring = polynomial_ring("Z", [])
+    module = ModulePresentation(ring, [("e", 0)], [{"e": p}])
+    return module, fgl_additive(ring)
+
+
+def _ku_local(p):
+    ring = Ring("Z", [], localized_at=p)
+    return ModulePresentation.free(ring), fgl_multiplicative(ring, beta=1)
+
+
+# (name, build, prime, height, window, expected stage statuses)
+SUITE = (
+    [("KGL", _kgl, p, 3, (-6, 6),
+      ["regular", "regular", "quotient_vanishes", "quotient_vanishes"])
+     for p in (2, 3, 5)]
+    + [("LQ", _lq, p, 1, (0, 5), ["regular", "quotient_vanishes"])
+       for p in (2, 3, 5)]
+    + [("HZ", _hz, p, 1, (-2, 2), ["regular", "fails"]) for p in (2, 3)]
+    + [(f"Z/{p}", _z_mod_p, p, 0, (-2, 2), ["fails"]) for p in (2, 3)]
+    + [(f"KU_({p})", _ku_local, p, 1, (-2, 2), ["regular", "regular"])
+       for p in (2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "name, build, p, height, window, expected", SUITE,
+    ids=[f"{case[0].replace('/', '_')}-{case[2]}" for case in SUITE])
+def test_builtin_suite_all_expected(name, build, p, height, window,
+                                    expected):
+    module, law = build(p)
+    verdict = check_regular(module, sequence_for_prime(law, p, height), p,
+                            window)
+    assert statuses(verdict) == expected
 
 
 def test_kgl_statuses():
@@ -142,7 +184,6 @@ def test_check_exact_driver():
 
 
 def test_perturbation_invariance():
-    import random
     ring = laurent_ring("Z", "beta")
     law = fgl_multiplicative(ring)
     module = ModulePresentation.free(ring)
@@ -155,8 +196,17 @@ def test_perturbation_invariance():
 
 
 def test_seeded_suite_with_perturbations():
-    cases, ok = run_builtin_suite(seed=42, perturbations=2)
-    assert ok
+    # two degree-matched perturbations per case, one seeded RNG per case
+    for index, (name, build, p, height, window, expected) in \
+            enumerate(SUITE, 1):
+        module, law = build(p)
+        seq = sequence_for_prime(law, p, height)
+        assert statuses(check_regular(module, seq, p, window)) == expected
+        rng = random.Random(42 * 1000003 + index)
+        for _ in range(2):
+            alt = perturb_sequence(module, seq, rng)
+            assert statuses(check_regular(module, alt, p, window)) == \
+                expected, (name, p)
 
 
 def test_input_validation():
@@ -173,3 +223,8 @@ def test_input_validation():
                            [{"e": 2, "f": 3}])
     with pytest.raises(InputError):
         ModulePresentation(ring, [("e", 0), ("e", 1)])
+    # degrees are integers, as in the JSON loader: no truncation of
+    # 1.5 to 1, and no bool or numeric string
+    for degree in (1.5, True, "2"):
+        with pytest.raises(InputError):
+            ModulePresentation(ring, [("e", degree)])

@@ -2,17 +2,27 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobalt.errors import (
     BadLeadingCoefficient,
+    InputError,
     NonUnitConstantTerm,
     NonzeroConstantInner,
     NotQAlgebra,
 )
 from cobalt.rings import laurent_ring, polynomial_ring
 from cobalt.series import TruncSeries
+
+from mseries_oracle import (
+    _compose_outer,
+    _from_univariate,
+    _MSeries,
+    _to_univariate,
+)
 
 
 @pytest.fixture
@@ -29,7 +39,7 @@ def test_geometric_inverse(elem_ring):
     assert g.coeff(1) == -x1
     assert g.coeff(2) == x1 ** 2 - x2
     assert g.coeff(3) == -(x1 ** 3) + 2 * x1 * x2 - x3
-    assert (f * g).coeffs == {0: ring.one()}
+    assert (f * g).coeffs == {(0,): ring.one()}
 
 
 def test_invert_requires_unit():
@@ -47,7 +57,7 @@ def test_invert_negative_unit():
     ring = polynomial_ring("Z", [("x", 1)])
     x = ring.gen("x")
     f = TruncSeries(ring, 4, {0: -1, 1: x})
-    assert (f * f.invert()).coeffs == {0: ring.one()}
+    assert (f * f.invert()).coeffs == {(0,): ring.one()}
 
 
 def test_reversion_catalan():
@@ -57,8 +67,8 @@ def test_reversion_catalan():
     want = {1: 1, 2: -1, 3: 2, 4: -5, 5: 14}
     for k, c in want.items():
         assert g.coeff(k) == ring.const(c)
-    assert f.compose(g).coeffs == {1: ring.one()}
-    assert g.compose(f).coeffs == {1: ring.one()}
+    assert f.compose(g).coeffs == {(1,): ring.one()}
+    assert g.compose(f).coeffs == {(1,): ring.one()}
 
 
 def test_reversion_errors():
@@ -148,3 +158,94 @@ def test_str_smoke():
     f = TruncSeries(ring, 2, {0: 1, 1: -ring.gen("x1")})
     s = str(f)
     assert "O(x^3)" in s
+
+
+def test_one_variable_operations_refuse_two():
+    ring = polynomial_ring("Q", [])
+    x, y = (TruncSeries.variable(ring, 3, 2, t) for t in range(2))
+    f = 1 + x + y
+    for operation in (f.invert, f.revert, f.derivative, f.integrate,
+                      f.__str__):
+        with pytest.raises(InputError):
+            operation()
+    with pytest.raises(InputError):
+        f.coeff(1)                      # keys are (i, j) in two variables
+    with pytest.raises(InputError):
+        f + TruncSeries.variable(ring, 3)
+    with pytest.raises(InputError):
+        f.subst([TruncSeries.variable(ring, 3)])
+    assert f.coeff((0, 1)) == ring.one()
+    assert (x * y).coeffs == {(1, 1): ring.one()}
+
+
+def test_truncation_drops_total_degree_past_the_order():
+    ring = polynomial_ring("Z", [])
+    f = TruncSeries(ring, 2, {(2, 1): 5, (1, 1): 3, (0, 2): 1}, nvars=2)
+    assert f.coeffs == {(1, 1): ring.const(3), (0, 2): ring.one()}
+    assert f.truncate(1).is_zero()
+    assert TruncSeries(ring, 3, {4: 1, 3: 2}).truncate(2).is_zero()
+
+
+# -- n variables against the old multivariate series ----------------------
+
+QQ = polynomial_ring("Q", [])
+_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _series_data(nvars):
+    """(order, coefficients) with zero constant term and random order."""
+    def coefficients(order):
+        exps = st.tuples(*[st.integers(0, order)] * nvars).filter(
+            lambda e: 1 <= sum(e) <= order)
+        return st.tuples(st.just(order),
+                         st.dictionaries(exps, _fractions, max_size=8))
+    return st.integers(1, 5).flatmap(coefficients)
+
+
+def _both(data, nvars):
+    """The same data as a TruncSeries and as an oracle _MSeries."""
+    order, coeffs = data
+    return (TruncSeries(QQ, order, coeffs, nvars),
+            _MSeries(QQ, nvars, order, coeffs))
+
+
+def _oracle_univariate(f):
+    """What the oracle glue reads of a one-variable series."""
+    return SimpleNamespace(ring=f.ring,
+                           coeffs={k: c for (k,), c in f.coeffs.items()})
+
+
+def _same(new, old):
+    return (new.nvars, new.order, new.coeffs) == \
+        (old.nvars, old.order, old.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_data(2), _series_data(1), _series_data(1))
+def test_bivariate_subst_matches_oracle(f_data, u_data, v_data):
+    F, Fm = _both(f_data, 2)
+    u, v = (TruncSeries(QQ, order, coeffs) for order, coeffs in
+            (u_data, v_data))
+    old = Fm.subst([_from_univariate(_oracle_univariate(g), 1, 0, g.order)
+                    for g in (u, v)])
+    assert F.subst([u, v]) == _to_univariate(old, old.order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_data(2), st.integers(1, 5))
+def test_trivariate_associativity_terms_match_oracle(f_data, order):
+    F, Fm = _both(f_data, 2)
+    x, y, z = (TruncSeries.variable(QQ, order, 3, t) for t in range(3))
+    xm, ym, zm = (_MSeries.variable(QQ, 3, order, t) for t in range(3))
+    assert _same(F.subst([F.subst([x, y]), z]),
+                 Fm.subst([Fm.subst([xm, ym]), zm]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series_data(1), _series_data(2))
+def test_compose_with_bivariate_matches_oracle(phi_data, g_data):
+    phi = TruncSeries(QQ, *phi_data)
+    G, Gm = _both(g_data, 2)
+    order = min(phi.order, G.order)
+    assert _same(phi.compose(G),
+                 _compose_outer(_oracle_univariate(phi), Gm, order))
