@@ -1,8 +1,9 @@
 """cobalt: exact-arithmetic Schur calculus, formal group laws, and
 Landweber-style regularity checking.
 
-Everything here computes over Z or Q with fractions.Fraction; no floats,
-no numerical tolerance anywhere.
+Everything here computes over Z or Q, with int coefficients where values
+are integral and fractions.Fraction elsewhere; no floats, no numerical
+tolerance anywhere.
 """
 
 __version__ = "0.1.0"

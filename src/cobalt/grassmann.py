@@ -97,6 +97,7 @@ class GrassRing:
             if not c.is_zero():
                 self.ring.impose(c)
         self._schur_cache = {}
+        self._pieri_cache = {}      # (shape, k) -> tuple of shapes
 
     # -- combinatorics -------------------------------------------------------
 
@@ -148,8 +149,13 @@ class GrassRing:
         """Shapes in the box that add a horizontal k-strip to `shape`.
 
         Row i may grow up to the old length of row i - 1 (r for the
-        first row), so no two added boxes share a column.
+        first row), so no two added boxes share a column.  Results are
+        kept per ring as tuples, since reduction asks for the same few
+        (shape, k) pairs again and again.
         """
+        cached = self._pieri_cache.get((shape, k))
+        if cached is not None:
+            return cached
         old = shape + (0,) * (self.d - len(shape))
         grown = [((), 0)]
         for row, base in enumerate(old):
@@ -157,8 +163,10 @@ class GrassRing:
             grown = [(prefix + (length,), added + length - base)
                      for prefix, added in grown
                      for length in range(base, min(cap, base + k - added) + 1)]
-        return [tuple(x for x in prefix if x)
-                for prefix, added in grown if added == k]
+        cached = self._pieri_cache[shape, k] = tuple(
+            tuple(x for x in prefix if x)
+            for prefix, added in grown if added == k)
+        return cached
 
     def reduce(self, poly):
         """Schur coordinates of a polynomial representative.

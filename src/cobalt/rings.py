@@ -11,6 +11,17 @@ polynomials are dicts from exponent tuple to coefficient.  Everything is
 immutable in spirit: operations build new values, and a ring is frozen
 once its relations are imposed.
 
+Coefficients have one canonical form over either base: an `int` when
+the value is integral and a `Fraction` only when it is not, so integral
+arithmetic over Q runs on plain ints.  No zero coefficient is ever
+stored.
+
+>>> Q = polynomial_ring("Q", [])
+>>> Q.const(Fraction(4, 2)).terms
+{(): 2}
+>>> Q.const(Fraction(1, 2)).terms
+{(): Fraction(1, 2)}
+
 Graded components are analyzed degreewise without Groebner bases: the
 monomials of one Adams degree are enumerated under an exponent bound,
 all relation multiples landing in that degree are assembled into a
@@ -22,6 +33,7 @@ short; when the flag is off the invariants are exact.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     ExpressionSyntaxError,
@@ -82,15 +94,16 @@ class Ring:
     # -- construction -----------------------------------------------------
 
     def coerce(self, value):
+        """`value` in canonical form: an int when integral, else a Fraction."""
+        if isinstance(value, int):
+            return int(value)
         if isinstance(value, Fraction):
+            if value.denominator == 1:
+                return value.numerator
             if self.base == "Q":
                 return value
-            if value.denominator == 1:
-                return int(value)
             raise NotQAlgebra(
                 f"coefficient {value} needs denominators; ring base is Z")
-        if isinstance(value, int):
-            return Fraction(value) if self.base == "Q" else value
         raise InputError(f"bad coefficient {value!r}")
 
     def poly(self, terms):
@@ -271,6 +284,23 @@ class Polynomial:
                 clean[exps] = c
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, ring, terms):
+        """A result of arithmetic inside `ring`, trusted to fit it.
+
+        Skips the width check and `coerce`; drops zero coefficients and
+        turns integral Fractions into ints.
+        """
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.terms = clean = {}
+        for exps, c in terms.items():
+            if c:
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                clean[exps] = c
+        return poly
+
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
@@ -289,12 +319,13 @@ class Polynomial:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0) + c
-        return Polynomial(self.ring, out)
+        return Polynomial._raw(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.ring,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._check(other)
@@ -307,22 +338,23 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.ring.zero()
             c0 = self.ring.coerce(other)
-            return Polynomial(
+            return Polynomial._raw(
                 self.ring, {e: c * c0 for e, c in self.terms.items()})
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
+        normalize = ring.normalize_monomial if ring.inverse_partner else None
         out = {}
+        get = out.get
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exps = ring.normalize_monomial(
-                    tuple(x + y for x, y in zip(ea, eb)))
-                out[exps] = out.get(exps, 0) + ca * cb
-        return Polynomial(ring, out)
+                exps = tuple(map(add, ea, eb))
+                if normalize:
+                    exps = normalize(exps)
+                out[exps] = get(exps, 0) + ca * cb
+        return Polynomial._raw(ring, out)
 
     __rmul__ = __mul__
 
@@ -390,17 +422,23 @@ class Polynomial:
         must be covered.  Coefficients move along Z -> Z, Z -> Q, Q -> Q,
         or Q -> Z when no denominators are present.
         """
-        out = target.zero()
+        powers = {}     # (generator index, exponent) -> image power
+        out = {}
         for exps, c in self.terms.items():
             term = target.const(c)
             for i, e in enumerate(exps):
                 if e:
-                    name = self.ring.gens[i].name
-                    if name not in images:
-                        raise InputError(f"no image given for generator {name!r}")
-                    term = term * (images[name] ** e)
-            out = out + term
-        return out
+                    power = powers.get((i, e))
+                    if power is None:
+                        name = self.ring.gens[i].name
+                        if name not in images:
+                            raise InputError(
+                                f"no image given for generator {name!r}")
+                        power = powers[i, e] = images[name] ** e
+                    term = term * power
+            for m, v in term.terms.items():
+                out[m] = out.get(m, 0) + v
+        return Polynomial._raw(target, out)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (degree, then exponents)."""

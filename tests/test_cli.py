@@ -51,6 +51,14 @@ def test_grass_products_at_the_frontier(capsys):
     assert report["checks"] == [{"name": "products", "pass": True}]
 
 
+def test_grass_products_n8(capsys):
+    # all 4900 products of R(8, 4), the largest box COBALT_MAX_N admits
+    code, report = run_json(capsys, "grass", "--n", "8", "--d", "4",
+                            "--verify", "products")
+    assert code == 0
+    assert report["checks"] == [{"name": "products", "pass": True}]
+
+
 def test_grass_products_witness(capsys, monkeypatch):
     monkeypatch.setattr("cobalt.grassmann.lr_multiply",
                         lambda a, b, d, r: {})
@@ -77,6 +85,14 @@ def test_fgl_universal_rational(capsys):
                             "--N", "4", "--check")
     assert code == 0
     assert report["coefficients"]["1,1"] == "-2*m1"
+
+
+def test_fgl_universal_rational_n12_axioms(capsys):
+    # the N = 12 universal law of ROADMAP item 5
+    code, report = run_json(capsys, "fgl", "--law", "universal-q",
+                            "--N", "12", "--check")
+    assert code == 0
+    assert report["axioms"]["ok"] is True
 
 
 def test_landweber_exact_and_failing(capsys):

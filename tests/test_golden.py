@@ -51,6 +51,13 @@ COMMANDS = _fgl_commands() + [
     ["landweber", "--law", "multiplicative", "--primes", "2,3",
      "--height", "2", "--window", "-4:4"],
     ["cobordism", "--field", "F4", "--window", "-3:3,-2:2", "--verify"],
+    # the universal-law and hopf sizes of the `formal` benchmark workload
+    ["fgl", "--law", "universal-q", "--N", "9", "--check",
+     "--p-series", "2", "--landweber", "2", "3"],
+    ["fgl", "--law", "universal-q", "--N", "10", "--check",
+     "--p-series", "3", "--landweber", "3", "2"],
+    ["hopf", "--N", "7"],
+    ["hopf", "--N", "8"],
 ]
 
 

@@ -45,6 +45,14 @@ def test_coercion():
     with pytest.raises(NotQAlgebra):
         zx.const(Fraction(1, 2))
     assert qx.const(Fraction(1, 2)).constant_term() == Fraction(1, 2)
+    # canonical form: integral values are ints over either base
+    assert type(qx.coerce(Fraction(6, 3))) is int
+    assert type(qx.coerce(True)) is int
+    with pytest.raises(InputError):
+        qx.coerce(0.5)
+    half = qx.const(Fraction(1, 2))
+    assert (half + half).terms == {(0,): 1}
+    assert type((half * 2).constant_term()) is int
 
 
 def test_basic_arithmetic(zxy):
@@ -286,23 +294,117 @@ def test_load_presentation_errors():
         })
 
 
-coeffs = st.integers(min_value=-6, max_value=6)
+# Hypothesis data: polynomials are drawn as plain dicts so that the
+# reference arithmetic below never goes through `Polynomial`.
+ints = st.integers(min_value=-6, max_value=6)
+rationals = st.one_of(ints, st.fractions(min_value=-6, max_value=6,
+                                         max_denominator=4))
+xy_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+# b^k for k in -3..3, stored in normal form over the (b, b_inv) pair
+laurent_monomials = st.integers(-3, 3).map(
+    lambda k: (k, 0) if k >= 0 else (0, -k))
+
+KINDS = {
+    "Z[x,y]": (polynomial_ring("Z", [("x", 1), ("y", 1)]),
+               xy_monomials, ints),
+    "Q[x,y]": (polynomial_ring("Q", [("x", 1), ("y", 1)]),
+               xy_monomials, rationals),
+    "Z[b^+-1]": (laurent_ring("Z", "b"), laurent_monomials, ints),
+}
+QST = polynomial_ring("Q", [("s", 1), ("t", 1)])
+ZC = laurent_ring("Z", "c")
 
 
-def poly_from_vec(ring, vec):
-    x, y = ring.gen("x"), ring.gen("y")
-    c0, c1, c2, c3 = vec
-    return c0 + c1 * x + c2 * y + c3 * x * y
+def term_dicts(kind, count):
+    _, monomials, values = KINDS[kind]
+    return st.lists(st.dictionaries(monomials, values, max_size=5),
+                    min_size=count, max_size=count)
+
+
+def normal(kind, exps):
+    if kind == "Z[b^+-1]":
+        k = exps[0] - exps[1]
+        return (k, 0) if k >= 0 else (0, -k)
+    return exps
+
+
+def reference_product(kind, a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = normal(kind, tuple(x + y for x, y in zip(ea, eb)))
+            out[e] = out.get(e, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_sum(a, b):
+    out = {e: Fraction(c) for e, c in a.items()}
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_canonical(poly):
+    for c in poly.terms.values():
+        assert c != 0
+        if Fraction(c).denominator == 1:
+            assert type(c) is int, (c, poly)
+        else:
+            assert type(c) is Fraction, (c, poly)
+
+
+def images_for(kind, data):
+    """Images of the generators under a ring map that respects inverses."""
+    if kind == "Z[b^+-1]":
+        sign = data.draw(st.sampled_from([1, -1]))
+        k = data.draw(st.integers(-2, 2))
+        c = ZC.gen("c") if k >= 0 else ZC.gen("c_inv")
+        c_inv = ZC.gen("c_inv") if k >= 0 else ZC.gen("c")
+        return ZC, {"b": sign * c ** abs(k), "b_inv": sign * c_inv ** abs(k)}
+    polys = data.draw(st.lists(
+        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                        rationals, max_size=3),
+        min_size=2, max_size=2))
+    return QST, {"x": QST.poly(polys[0]), "y": QST.poly(polys[1])}
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.tuples(coeffs, coeffs, coeffs, coeffs),
-       st.tuples(coeffs, coeffs, coeffs, coeffs),
-       st.tuples(coeffs, coeffs, coeffs, coeffs))
-def test_ring_axioms(u, v, w):
-    ring = polynomial_ring("Z", [("x", 1), ("y", 1)])
-    a, b, c = (poly_from_vec(ring, t) for t in (u, v, w))
+@given(st.data())
+def test_ring_axioms(data):
+    kind = data.draw(st.sampled_from(sorted(KINDS)))
+    ring = KINDS[kind][0]
+    a, b, c = (ring.poly(t) for t in data.draw(term_dicts(kind, 3)))
     assert (a + b) + c == a + (b + c)
     assert a * (b * c) == (a * b) * c
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
+    assert a + ring.zero() == a and a * ring.one() == a
+    assert (a - a).is_zero() and not (a - a).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_and_sums_are_canonical(data):
+    kind = data.draw(st.sampled_from(sorted(KINDS)))
+    ring = KINDS[kind][0]
+    da, db = data.draw(term_dicts(kind, 2))
+    a, b = ring.poly(da), ring.poly(db)
+    assert (a * b).terms == reference_product(kind, da, db)
+    assert (a + b).terms == reference_sum(da, db)
+    for poly in (a, b, a * b, a + b, a - b, -a, a * 3, a * Fraction(4, 2),
+                 a - a, a ** 2):
+        assert_canonical(poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_map_to_is_a_ring_map(data):
+    kind = data.draw(st.sampled_from(sorted(KINDS)))
+    ring = KINDS[kind][0]
+    target, images = images_for(kind, data)
+    a, b = (ring.poly(t) for t in data.draw(term_dicts(kind, 2)))
+    fa, fb = a.map_to(target, images), b.map_to(target, images)
+    assert (a * b).map_to(target, images) == fa * fb
+    assert (a + b).map_to(target, images) == fa + fb
+    for poly in (fa, fb, (a * b).map_to(target, images)):
+        assert_canonical(poly)
