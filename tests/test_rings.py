@@ -300,9 +300,14 @@ ints = st.integers(min_value=-6, max_value=6)
 rationals = st.one_of(ints, st.fractions(min_value=-6, max_value=6,
                                          max_denominator=4))
 xy_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
-# b^k for k in -3..3, stored in normal form over the (b, b_inv) pair
-laurent_monomials = st.integers(-3, 3).map(
-    lambda k: (k, 0) if k >= 0 else (0, -k))
+
+
+def laurent_exponents(k):
+    """b^k in normal form over the (b, b_inv) pair."""
+    return (k, 0) if k >= 0 else (0, -k)
+
+
+laurent_monomials = st.integers(-3, 3).map(laurent_exponents)
 
 KINDS = {
     "Z[x,y]": (polynomial_ring("Z", [("x", 1), ("y", 1)]),
@@ -323,8 +328,7 @@ def term_dicts(kind, count):
 
 def normal(kind, exps):
     if kind == "Z[b^+-1]":
-        k = exps[0] - exps[1]
-        return (k, 0) if k >= 0 else (0, -k)
+        return laurent_exponents(exps[0] - exps[1])
     return exps
 
 
