@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from . import verify as verify_mod
-from .errors import AxiomsFail, CobaltError, InputError
+from .errors import AxiomsFail, BoundExceeded, CobaltError, InputError
 from .fgl import (
     FormalGroupLaw,
     fgl_additive,
@@ -30,6 +30,7 @@ from .grassmann import (
     gram_report,
     grassmannian,
     products_report,
+    size_limit,
 )
 from .hopf import induced_hopf, mumu_rational_truncated, verify_hopf_axioms
 from .landweber import (
@@ -369,6 +370,12 @@ def _cmd_landweber(args):
 
 
 def _cmd_oriented(args):
+    limit = size_limit()
+    if args.thom and args.n + 1 > limit:
+        raise BoundExceeded(
+            f"--n {args.n} is too large for --thom, which needs "
+            f"R(n+1, d+1) = R({args.n + 1}, {args.d + 1}) within the size "
+            f"limit {limit}; set COBALT_MAX_N to raise it")
     if args.coeff:
         coeff = load_presentation(_read_json(args.coeff))
     else:

@@ -168,12 +168,28 @@ class Ring:
     def monomials_of_degree(self, degree, bound):
         """Normal-form monomials of one Adams degree, exponents <= bound.
 
-        Returns (monomials, bound_active): bound_active is True when some
+        Returns (monomials, bound_active), the monomials sorted in
+        descending exponent order.  bound_active is True when some
         exponent larger than the bound could have contributed, so the
         listing may be incomplete.  Each invertible pair is enumerated as
-        one signed exponent, so only normal forms appear and the
-        incompleteness flag accounts for the cancellation.
+        one signed exponent in -bound..bound, so only normal forms appear
+        and the incompleteness flag accounts for the cancellation.
+
+        The depth-first walk over the slots never enters a dead branch.
+        Every slot's degrees lie in a range fixed by the bound, so the
+        remainder after slot t must lie in [lo[t+1], hi[t+1]]; the walk
+        loops only over the exponents e whose remainder target - e*d
+        lands there, computed by floor division.  A zero remainder ends
+        the walk when every remaining slot is a generator of positive
+        degree, because all zeros is then its only completion.  The flag
+        is set where a larger exponent reaches a feasible remainder, or
+        where an exponent within the bound misses the remainder's range
+        on a side that the remaining slots could reach without the bound;
+        the skipped exponents are judged together in O(1), at the ends of
+        their range.  The bound must be >= 0.
         """
+        if bound < 0:
+            raise InputError(f"exponent bound must be >= 0, got {bound}")
         n = len(self.gens)
         degs = [g.adams_degree for g in self.gens]
         # slots: a plain generator, or an invertible pair as one signed
@@ -182,78 +198,74 @@ class Ring:
         for i in range(n):
             j = self.inverse_partner.get(i)
             if j is None:
-                slots.append((i, None))
+                slots.append((i, None, degs[i], 0))
             elif j > i:
-                slots.append((i, j))
+                slots.append((i, j, degs[i], -bound))
         k = len(slots)
         lo = [0] * (k + 1)
         hi = [0] * (k + 1)
+        slot_lo = [0] * k
+        slot_hi = [0] * k
         has_pos = [False] * (k + 1)
         has_neg = [False] * (k + 1)
+        # zero_tail[t]: slots t.. are plain generators of positive degree
+        zero_tail = [True] * (k + 1)
         for t in range(k - 1, -1, -1):
-            i, j = slots[t]
-            d = degs[i]
+            i, j, d, e_min = slots[t]
             if j is None:
-                slot_lo, slot_hi = min(0, bound * d), max(0, bound * d)
+                slot_lo[t], slot_hi[t] = min(0, bound * d), max(0, bound * d)
                 has_pos[t] = has_pos[t + 1] or d > 0
                 has_neg[t] = has_neg[t + 1] or d < 0
             else:
-                slot_lo, slot_hi = -bound * abs(d), bound * abs(d)
+                slot_lo[t], slot_hi[t] = -bound * abs(d), bound * abs(d)
                 has_pos[t] = has_pos[t + 1] or d != 0
                 has_neg[t] = has_neg[t + 1] or d != 0
-            lo[t] = lo[t + 1] + slot_lo
-            hi[t] = hi[t + 1] + slot_hi
+            lo[t] = lo[t + 1] + slot_lo[t]
+            hi[t] = hi[t + 1] + slot_hi[t]
+            zero_tail[t] = zero_tail[t + 1] and j is None and d > 0
+        if degree < lo[0] or degree > hi[0]:
+            return [], ((degree > hi[0] and has_pos[0])
+                        or (degree < lo[0] and has_neg[0]))
         found = []
-        active = [False]
+        active = False
         exps = [0] * n
 
-        def overshoot_possible(t, target):
-            # could |exponent| > bound in slot t reach the target?
-            i, j = slots[t]
-            d = degs[i]
-            e = bound + 1
-            if j is None:
-                if d > 0:
-                    return target - e * d >= lo[t + 1]
-                if d < 0:
-                    return target - e * d <= hi[t + 1]
-                return lo[t + 1] <= target <= hi[t + 1]
-            if d == 0:
-                return lo[t + 1] <= target <= hi[t + 1]
-            return (target - e * abs(d) >= lo[t + 1]
-                    or target + e * abs(d) <= hi[t + 1])
-
         def rec(t, target):
-            if t == k:
-                if target == 0:
-                    found.append(tuple(exps))
+            # invariant: lo[t] <= target <= hi[t]
+            nonlocal active
+            if target == 0 and zero_tail[t]:
+                found.append(tuple(exps))
                 return
-            if target < lo[t] or target > hi[t]:
-                if (target > hi[t] and has_pos[t]) or \
-                        (target < lo[t] and has_neg[t]):
-                    active[0] = True
-                return
-            if overshoot_possible(t, target):
-                active[0] = True
-            i, j = slots[t]
-            d = degs[i]
-            if j is None:
-                for e in range(bound, -1, -1):
-                    exps[i] = e
-                    rec(t + 1, target - e * d)
-                exps[i] = 0
+            i, j, d, e_min = slots[t]
+            lo1, hi1 = lo[t + 1], hi[t + 1]
+            # exponents whose remainder target - e*d lies in [lo1, hi1],
+            # before clipping to [e_min, bound]
+            if d > 0:
+                e_lo, e_hi = -((hi1 - target) // d), (target - lo1) // d
+            elif d < 0:
+                e_lo, e_hi = -((lo1 - target) // d), (target - hi1) // d
             else:
-                for e in range(bound, -bound - 1, -1):
-                    if e >= 0:
-                        exps[i], exps[j] = e, 0
-                    else:
-                        exps[i], exps[j] = 0, -e
-                    rec(t + 1, target - e * d)
-                exps[i] = exps[j] = 0
+                # degree 0: every exponent, past the bound too, keeps it
+                e_lo, e_hi = e_min - 1, bound + 1
+            if not active:
+                # a feasible exponent past the bound, or a skipped one
+                # whose remainder the remaining slots reach unbounded
+                active = (e_hi > bound or (j is not None and e_lo < e_min)
+                          or (has_pos[t + 1] and target - slot_lo[t] > hi1)
+                          or (has_neg[t + 1] and target - slot_hi[t] < lo1))
+            for e in range(min(e_hi, bound), max(e_lo, e_min) - 1, -1):
+                if e >= 0:
+                    exps[i] = e
+                else:
+                    exps[i], exps[j] = 0, -e
+                rec(t + 1, target - e * d)
+            exps[i] = 0
+            if j is not None:
+                exps[j] = 0
 
         rec(0, degree)
         found.sort(reverse=True)
-        return found, active[0]
+        return found, active
 
     def _monomial_str(self, exps):
         parts = []
@@ -483,9 +495,6 @@ class GradedComponentReport:
     basis: list = field(default_factory=list)   # exponent tuples, rational span
     truncated: bool = False
     note: str = ""
-
-    def basis_strings(self, ring):
-        return [ring._monomial_str(e) for e in self.basis]
 
 
 def graded_component(ring, degree, exponent_bound=None):

@@ -25,10 +25,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(m, n):
-    return [[0] * n for _ in range(m)]
-
-
 def mat_mul(a, b):
     if not a or not b:
         return []
@@ -50,12 +46,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def columns_matrix(cols, height):

@@ -174,11 +174,12 @@ def mgl_rational_table(field, p_range, q_range):
     for p in range(p_lo, p_hi + 1):
         for q in range(q_lo, q_hi + 1):
             entry = DimExpr()
-            # contributions need p + 2m in {0, 1}, so m stays small
-            for m in range(0, max(0, 1 - p) // 2 + 2):
-                r = motivic_ranks(field, (p + 2 * m, q + m))
-                if not r.is_zero():
-                    entry = entry + r.scaled(partition_count(m))
+            # motivic_ranks vanishes unless p + 2m is 0 or 1, and the one
+            # m >= 0 that gets there is (1 - p) // 2, for p <= 1 only
+            if p <= 1:
+                m = (1 - p) // 2
+                entry = motivic_ranks(field, (p + 2 * m, q + m)).scaled(
+                    partition_count(m))
             table[(p, q)] = entry
     return table
 

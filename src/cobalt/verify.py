@@ -283,14 +283,3 @@ ALL_CHECKS = [
     check_hopf_algebroid,
     check_cobordism_tables,
 ]
-
-
-def verify_all(seed=0):
-    """Run every check; the landweber suite consumes the seed."""
-    checks = []
-    for fn in ALL_CHECKS:
-        if fn is check_landweber_suite:
-            checks.append(fn(seed=seed))
-        else:
-            checks.append(fn())
-    return {"pass": all(c["pass"] for c in checks), "checks": checks}

@@ -165,6 +165,19 @@ def test_oriented_report(capsys):
     assert report["zero_section"]["ok"] is True
 
 
+def test_oriented_thom_size_message_names_the_input(capsys, monkeypatch):
+    monkeypatch.setenv("COBALT_MAX_N", "5")
+    assert main(["oriented", "--n", "5", "--d", "2", "--thom"]) == 2
+    err = capsys.readouterr().err
+    assert "--n 5" in err and "R(6, 3)" in err and "n=6" not in err
+    code, report = run_json(capsys, "oriented", "--n", "4", "--d", "2",
+                            "--thom")
+    assert code == 0 and report["zero_section"]["ok"] is True
+    # without --thom the ring R(n, d) alone must fit
+    code, _ = run(capsys, "oriented", "--n", "5", "--d", "2")
+    assert code == 0
+
+
 def test_oriented_custom_coefficients(capsys, tmp_path):
     coeff = tmp_path / "coeff.json"
     coeff.write_text(json.dumps({

@@ -51,6 +51,9 @@ COMMANDS = _fgl_commands() + [
     ["landweber", "--law", "multiplicative", "--primes", "2,3",
      "--height", "2", "--window", "-4:4"],
     ["cobordism", "--field", "F4", "--window", "-3:3,-2:2", "--verify"],
+    ["cobordism", "--field", "Q", "--window", "-400:400,-200:200"],
+    ["cobordism", "--field", "number:2,1", "--verify"],
+    ["cobordism", "--field", "F9", "--verify", "--format", "csv"],
     # the universal-law and hopf sizes of the `formal` benchmark workload
     ["fgl", "--law", "universal-q", "--N", "9", "--check",
      "--p-series", "2", "--landweber", "2", "3"],

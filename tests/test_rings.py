@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cobalt.errors import (
     ExpressionSyntaxError,
@@ -22,6 +22,8 @@ from cobalt.rings import (
     parse_expression,
     polynomial_ring,
 )
+
+from monomial_oracle import monomials_of_degree as oracle_monomials_of_degree
 
 
 @pytest.fixture
@@ -134,6 +136,32 @@ def test_monomials_of_degree_laurent():
     monos, active = ring.monomials_of_degree(-4, 3)
     assert monos == []
     assert active
+    with pytest.raises(InputError):
+        ring.monomials_of_degree(0, -1)
+
+
+@st.composite
+def enumeration_rings(draw):
+    """Up to 8 generators of degree -4..5, an inverse counting as one."""
+    specs, width = [], 0
+    for g, (degree, invertible) in enumerate(draw(st.lists(
+            st.tuples(st.integers(-4, 5), st.booleans()), max_size=8))):
+        width += 1 + invertible
+        if width > 8:
+            break
+        specs.append(GenSpec(f"g{g}", degree, invertible))
+    return Ring("Z", specs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(enumeration_rings(), st.integers(-10, 12), st.integers(0, 4))
+# y^2 has degree 2 but y^2 > bound: the skipped branch x^0 flags it
+@example(Ring("Z", [GenSpec("x", 2), GenSpec("y", 1)]), 2, 1)
+# b^-2 y has degree -1: only the pair's exponent past the bound flags it
+@example(Ring("Z", [GenSpec("b", 1, True), GenSpec("y", 1)]), -1, 1)
+def test_monomials_of_degree_matches_oracle(ring, degree, bound):
+    assert ring.monomials_of_degree(degree, bound) == \
+        oracle_monomials_of_degree(ring, degree, bound)
 
 
 def test_graded_component_free():

@@ -3,6 +3,7 @@ cobordism convolution against its closed form."""
 
 import pytest
 
+from cobalt import tables
 from cobalt.errors import InputError, WindowEmpty
 from cobalt.tables import (
     DimExpr,
@@ -103,6 +104,27 @@ def test_mgl_table_fixtures():
     assert table[(2, 1)].is_zero()
     with pytest.raises(WindowEmpty):
         mgl_rational_table(q_field, (2, -2), (0, 1))
+
+
+def test_mgl_table_reads_one_bidegree_per_cell(monkeypatch):
+    field = FieldDescriptor.number_field(2, 1)
+    calls = []
+
+    def counted(f, bidegree):
+        calls.append(bidegree)
+        return motivic_ranks(f, bidegree)
+
+    monkeypatch.setattr(tables, "motivic_ranks", counted)
+    table = mgl_rational_table(field, (-30, 30), (-15, 15))
+    # only p <= 1 can reach p + 2m in {0, 1}, with exactly one m >= 0
+    assert len(calls) == 32 * 31
+    assert all(p in (0, 1) for p, _ in calls)
+    for (p, q), entry in table.items():
+        convolution = DimExpr()
+        for m in range(20):
+            convolution = convolution + motivic_ranks(
+                field, (p + 2 * m, q + m)).scaled(partition_count(m))
+        assert entry == convolution, (p, q)
 
 
 def test_finite_field_table_diagonal():
