@@ -61,6 +61,13 @@ COMMANDS = _fgl_commands() + [
      "--p-series", "3", "--landweber", "3", "2"],
     ["hopf", "--N", "7"],
     ["hopf", "--N", "8"],
+    # larger universal-law checks and the full verification suite
+    ["fgl", "--law", "universal-q", "--N", "11", "--check",
+     "--p-series", "3", "--landweber", "3", "2"],
+    ["fgl", "--law", "universal-q", "--N", "12", "--check",
+     "--p-series", "2", "--landweber", "2", "3"],
+    ["hopf", "--N", "9"],
+    ["verify-all", "--seed", "0"],
 ]
 
 
