@@ -100,6 +100,12 @@ def _prime_power_base(q):
     return p if q == 1 else None
 
 
+def _require_prime(p, what):
+    if _prime_power_base(p) != p:
+        raise InputError(f"{what} {p} is not a prime")
+    return p
+
+
 def _parse_primes(text):
     out = []
     for piece in text.split(","):
@@ -108,9 +114,7 @@ def _parse_primes(text):
             p = int(piece)
         except ValueError:
             raise InputError(f"prime list entry {piece!r} is not an integer")
-        if _prime_power_base(p) != p:
-            raise InputError(f"prime list entry {p} is not a prime")
-        out.append(p)
+        out.append(_require_prime(p, "prime list entry"))
     if not out:
         raise InputError("the prime list is empty")
     return out
@@ -293,6 +297,8 @@ def _cmd_fgl(args):
     order = args.N
     if order < 2:
         raise InputError("need a truncation order N >= 2")
+    if args.landweber is not None:
+        _require_prime(args.landweber[0], "--landweber prime")
     law = _builtin_law(args.law, order)
     coefficients = {f"{i},{j}": str(c)
                     for (i, j), c in sorted(law.series.coeffs.items())

@@ -11,10 +11,12 @@ The grading convention puts a_ij in Adams degree i + j - 1, matching
 series variables of degree -1.
 
 Everything is series substitution: the formal sum u +_F v is
-F.subst([u, v]), associativity compares F(F(x, y), z) with
-F(x, F(y, z)) in three variables, and a law is pushed along a strict
-coordinate change phi by composing phi and its inverse with the
-two-variable coordinates x and y.
+F.subst([u, v]), associativity compares G(x, y, z) = F(F(x, y), z)
+with F(x, F(y, z)) in three variables, and a law is pushed along a
+strict coordinate change phi by composing phi and its inverse with the
+two-variable coordinates x and y.  For a commutative law
+F(x, F(y, z)) = F(F(y, z), x) = G(y, z, x), so the check substitutes
+once and compares G with its cyclic permutation of variables.
 
 Logarithms go through the invariant differential: l'(x) is the
 reciprocal of dF/dy at (x, 0), integrated termwise, which needs a Q
@@ -127,8 +129,11 @@ def fgl_check_axioms(f, order=None, graded=True):
     """Unit, commutativity, associativity, and gradedness to an order.
 
     For exact (polynomial) laws associativity is a polynomial identity:
-    checking at twice the support degree is conclusive.  Returns a dict
-    of named booleans plus "ok".
+    F(F(x, y), z) has degree s^2 for a law of support degree s, so
+    checking at order s^2 is conclusive.  When the law is commutative,
+    F(x, F(y, z)) is G(y, z, x) for G = F(F(x, y), z), and associativity
+    is G equal to its cyclic permutation; otherwise both sides are
+    substituted.  Returns a dict of named booleans plus "ok".
     """
     if order is None:
         if f.exact:
@@ -151,11 +156,12 @@ def fgl_check_axioms(f, order=None, graded=True):
                       for (i, j), c in series.coeffs.items())
 
     x, y, z = _variables(f.ring, order, 3)
-    fxy = series.subst([x, y])
-    fyz = series.subst([y, z])
-    left = series.subst([fxy, z])
-    right = series.subst([x, fyz])
-    associative = left == right
+    left = series.subst([series.subst([x, y]), z])
+    if commutative:
+        associative = left.coeffs == {
+            (c, a, b): v for (a, b, c), v in left.coeffs.items()}
+    else:
+        associative = left == series.subst([x, series.subst([y, z])])
 
     result = {"unit": unit, "commutative": commutative,
               "associative": associative}

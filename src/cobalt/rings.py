@@ -165,6 +165,22 @@ class Ring:
                 out[j] -= m
         return tuple(out)
 
+    def add_product(self, out, a, b):
+        """Add the product of the term dicts `a` and `b` into `out`.
+
+        The one multiplication kernel: `out` maps exponent tuples to
+        coefficients and may hold zeros, which `Polynomial._raw` drops
+        when the caller builds its result.
+        """
+        normalize = self.normalize_monomial if self.inverse_partner else None
+        get = out.get
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                exps = tuple(map(add, ea, eb))
+                if normalize:
+                    exps = normalize(exps)
+                out[exps] = get(exps, 0) + ca * cb
+
     def monomials_of_degree(self, degree, bound):
         """Normal-form monomials of one Adams degree, exponents <= bound.
 
@@ -356,17 +372,9 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = self.ring
-        normalize = ring.normalize_monomial if ring.inverse_partner else None
         out = {}
-        get = out.get
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(map(add, ea, eb))
-                if normalize:
-                    exps = normalize(exps)
-                out[exps] = get(exps, 0) + ca * cb
-        return Polynomial._raw(ring, out)
+        self.ring.add_product(out, self.terms, other.terms)
+        return Polynomial._raw(self.ring, out)
 
     __rmul__ = __mul__
 

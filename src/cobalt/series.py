@@ -61,6 +61,21 @@ class TruncSeries:
                 clean[k] = c
         self.coeffs = clean
 
+    @classmethod
+    def _raw(cls, ring, order, coeffs, nvars):
+        """A result of arithmetic, trusted to fit `ring` and `order`.
+
+        The keys must be exponent tuples of length `nvars` and total
+        degree at most `order`, the values Polynomials over `ring`.
+        Skips validation and coercion; drops zero coefficients.
+        """
+        series = object.__new__(cls)
+        series.ring = ring
+        series.order = order
+        series.nvars = nvars
+        series.coeffs = {k: c for k, c in coeffs.items() if c.terms}
+        return series
+
     def _exponents(self, k):
         if isinstance(k, int) and self.nvars == 1:
             k = (k,)
@@ -103,17 +118,18 @@ class TruncSeries:
         if other is NotImplemented:
             return NotImplemented
         order = min(self.order, other.order)
-        out = dict(self.coeffs)
+        out = {k: c for k, c in self.coeffs.items() if sum(k) <= order}
         for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return TruncSeries(self.ring, order, out, self.nvars)
+            if sum(k) <= order:
+                out[k] = out[k] + c if k in out else c
+        return TruncSeries._raw(self.ring, order, out, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.ring, self.order,
-                           {k: -c for k, c in self.coeffs.items()},
-                           self.nvars)
+        return TruncSeries._raw(self.ring, self.order,
+                                {k: -c for k, c in self.coeffs.items()},
+                                self.nvars)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -126,20 +142,23 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Polynomial)):
-            return TruncSeries(self.ring, self.order,
-                               {k: c * other for k, c in self.coeffs.items()},
-                               self.nvars)
+            return TruncSeries._raw(
+                self.ring, self.order,
+                {k: c * other for k, c in self.coeffs.items()}, self.nvars)
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         order = min(self.order, other.order)
+        right = [(j, sum(j), b.terms) for j, b in other.coeffs.items()]
+        add_product = self.ring.add_product
         out = {}
         for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = tuple(map(add, i, j))
-                if sum(k) <= order:
-                    out[k] = out[k] + a * b if k in out else a * b
-        return TruncSeries(self.ring, order, out, self.nvars)
+            room = order - sum(i)
+            for j, degree, b in right:
+                if degree <= room:
+                    k = tuple(map(add, i, j))
+                    add_product(out.setdefault(k, {}), a.terms, b)
+        return _from_terms(self.ring, order, out, self.nvars)
 
     __rmul__ = __mul__
 
@@ -181,6 +200,7 @@ class TruncSeries:
         order = min([self.order] + [g.order for g in args])
         one = TruncSeries(self.ring, order, {zero: 1}, nvars)
         powers = [[one] for _ in args]
+        add_product = self.ring.add_product
         total = {}
         for exps, c in self.coeffs.items():
             term = None
@@ -190,8 +210,8 @@ class TruncSeries:
                 if e:
                     term = cache[e] if term is None else term * cache[e]
             for k, t in (one if term is None else term).coeffs.items():
-                total[k] = total[k] + t * c if k in total else t * c
-        return TruncSeries(self.ring, order, total, nvars)
+                add_product(total.setdefault(k, {}), t.terms, c.terms)
+        return _from_terms(self.ring, order, total, nvars)
 
     def compose(self, inner):
         """self(inner(x)); the inner series must have zero constant term."""
@@ -298,3 +318,10 @@ class TruncSeries:
         return " + ".join(parts) + f" + O(x^{self.order + 1})"
 
     __repr__ = __str__
+
+
+def _from_terms(ring, order, terms, nvars):
+    """The series whose coefficients have the term dicts in `terms`."""
+    return TruncSeries._raw(
+        ring, order, {k: Polynomial._raw(ring, t) for k, t in terms.items()},
+        nvars)

@@ -1,11 +1,14 @@
 """The n-variable truncated series that the formal group laws used
 before `TruncSeries` took an `nvars` field, kept as a test oracle.
 
-`_MSeries` has its own add, multiply, truncate and substitution;
+`_MSeries` has its own add, multiply, truncate and substitution, and
+multiplies coefficients with its own term loop (`_times`), so it does
+not share the multiplication kernel of `cobalt.rings` that it checks;
 `_from_univariate`, `_to_univariate` and `_compose_outer` move data
 between it and a one-variable series whose `coeffs` are keyed by plain
 ints (`ring` and `coeffs` are all they read).  The property tests in
-`test_series.py` compare `TruncSeries.subst` and `compose` with it.
+`test_series.py` compare `TruncSeries` products, `subst` and `compose`
+with it.
 """
 
 from fractions import Fraction
@@ -13,6 +16,26 @@ from fractions import Fraction
 from cobalt.errors import InputError
 from cobalt.rings import Polynomial
 from cobalt.series import TruncSeries
+
+
+def _times(a, b):
+    """The Polynomial a * b by a naive term loop.
+
+    Cancels each g * g_inv pair itself, so a Laurent product comes out
+    in normal form without `Ring.normalize_monomial`.
+    """
+    ring = a.ring
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            exps = [x + y for x, y in zip(ea, eb)]
+            for i, j in ring.inverse_partner.items():
+                m = min(exps[i], exps[j])
+                exps[i] -= m
+                exps[j] -= m
+            key = tuple(exps)
+            out[key] = out.get(key, 0) + Fraction(ca) * Fraction(cb)
+    return Polynomial(ring, out)
 
 
 class _MSeries:
@@ -61,9 +84,12 @@ class _MSeries:
                         {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, (int, Fraction)):
+            other = self.ring.const(other)
+        if isinstance(other, Polynomial):
             return _MSeries(self.ring, self.nvars, self.order,
-                            {e: c * other for e, c in self.coeffs.items()})
+                            {e: _times(c, other)
+                             for e, c in self.coeffs.items()})
         order = min(self.order, other.order)
         out = {}
         for ea, ca in self.coeffs.items():
@@ -71,9 +97,9 @@ class _MSeries:
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 if sum(exps) > order:
                     continue
-                key = exps
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
+                prev = out.get(exps)
+                prod = _times(ca, cb)
+                out[exps] = prod if prev is None else prev + prod
         return _MSeries(self.ring, self.nvars, order, out)
 
     __rmul__ = __mul__

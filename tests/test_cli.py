@@ -336,6 +336,16 @@ def test_landweber_rejects_non_primes(capsys, primes):
     assert out == ""
 
 
+@pytest.mark.parametrize("prime", ["4", "1", "0", "-2"])
+def test_fgl_landweber_rejects_non_primes(capsys, prime):
+    code = main(["fgl", "--law", "multiplicative", "--N", "4",
+                 "--landweber", prime, "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--landweber prime {prime} is not a prime" in captured.err
+
+
 def test_landweber_refuses_primes_too_large_to_check(capsys):
     code, _ = run(capsys, "landweber", "--law", "additive",
                   "--primes", str(10 ** 12 + 39), "--height", "0")

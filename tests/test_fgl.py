@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobalt.errors import (
     InputError,
@@ -12,6 +13,7 @@ from cobalt.errors import (
     TruncationTooSmall,
 )
 from cobalt.fgl import (
+    FormalGroupLaw,
     chern_reparam,
     fgl_additive,
     fgl_check_axioms,
@@ -28,6 +30,8 @@ from cobalt.fgl import (
 )
 from cobalt.rings import laurent_ring, polynomial_ring
 from cobalt.series import TruncSeries
+
+from mseries_oracle import _MSeries
 
 
 def mult_ring(base="Z"):
@@ -228,3 +232,75 @@ def test_strictness_guard():
     bad = TruncSeries(ring, 5, {1: 2})
     with pytest.raises(InputError):
         pushforward(f, bad)
+
+
+# -- associativity: the one-sided check against both substitutions ----------
+
+def _explicitly_associative(f, order):
+    """F(F(x, y), z) == F(x, F(y, z)), substituted by the oracle series."""
+    F = _MSeries(f.ring, 2, order, f.series.coeffs)
+    x, y, z = (_MSeries.variable(f.ring, 3, order, t) for t in range(3))
+    return F.subst([F.subst([x, y]), z]) == F.subst([x, F.subst([y, z])])
+
+
+def _law(ring, coeffs, order, exact):
+    series = TruncSeries(ring, order, {(1, 0): 1, (0, 1): 1, **coeffs},
+                         nvars=2)
+    return FormalGroupLaw(ring, series, order, exact=exact)
+
+
+QA = polynomial_ring("Q", [("a", 1)])
+_qa_coefficients = st.dictionaries(
+    st.integers(0, 2), st.builds(Fraction, st.integers(-3, 3),
+                                 st.integers(1, 2)),
+    max_size=2).map(lambda terms: QA.poly({(e,): c for e, c in terms.items()}))
+
+
+@st.composite
+def _bivariate_laws(draw):
+    """A truncated x + y + .. over Q[a], symmetric in half the cases.
+
+    Half of the symmetric ones are built from a logarithm, so they are
+    associative with many terms.
+    """
+    order = draw(st.integers(2, 5))
+    if draw(st.booleans()) and draw(st.booleans()):
+        log = {1: 1}
+        for k in range(2, order + 1):
+            log[k] = draw(_qa_coefficients)
+        return fgl_from_log(TruncSeries(QA, order, log))
+    keys = st.tuples(st.integers(0, order), st.integers(0, order)).filter(
+        lambda e: 2 <= sum(e) <= order)
+    coeffs = draw(st.dictionaries(keys, _qa_coefficients, max_size=4))
+    if draw(st.booleans()):
+        mirrored = {}
+        for (i, j), c in coeffs.items():
+            if (j, i) not in mirrored:
+                mirrored[i, j] = mirrored[j, i] = c
+        coeffs = mirrored
+    return _law(QA, coeffs, order, exact=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bivariate_laws())
+def test_associativity_matches_both_substitutions(f):
+    verdict = fgl_check_axioms(f, graded=False)
+    assert verdict["associative"] == _explicitly_associative(f, f.order)
+
+
+def test_commutative_but_not_associative():
+    ring = polynomial_ring("Z", [])
+    f = _law(ring, {(2, 1): 1, (1, 2): 1}, 3, exact=True)
+    verdict = fgl_check_axioms(f, graded=False)
+    assert verdict["commutative"] is True
+    assert verdict["associative"] is False
+    assert not _explicitly_associative(f, 9)
+
+
+def test_not_commutative_takes_both_substitutions():
+    ring = polynomial_ring("Z", [])
+    f = _law(ring, {(2, 1): 1}, 3, exact=True)
+    verdict = fgl_check_axioms(f, graded=False)
+    assert verdict["commutative"] is False
+    assert verdict["associative"] is False
+    assert not _explicitly_associative(f, 9)

@@ -189,24 +189,49 @@ def test_truncation_drops_total_degree_past_the_order():
 # -- n variables against the old multivariate series ----------------------
 
 QQ = polynomial_ring("Q", [])
+# coefficient rings: constants, several terms over Q[a, b], and Laurent
+# polynomials whose products must cancel beta * beta_inv
+RINGS = [QQ, polynomial_ring("Q", [("a", 1), ("b", 2)]),
+         laurent_ring("Z", "beta")]
 _fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
-def _series_data(nvars):
+def _polynomials(ring):
+    """Polynomials over `ring` with up to three terms."""
+    if ring.inverse_partner:
+        # beta^e in normal form over the (beta, beta_inv) pair
+        monomials = st.integers(-2, 2).map(
+            lambda e: (e, 0) if e >= 0 else (0, -e))
+        values = st.integers(-3, 3)
+    else:
+        monomials = st.tuples(*[st.integers(0, 2)] * len(ring.gens))
+        values = _fractions
+    return st.dictionaries(monomials, values, min_size=1,
+                           max_size=3).map(ring.poly)
+
+
+def _series_data(ring, nvars):
     """(order, coefficients) with zero constant term and random order."""
     def coefficients(order):
         exps = st.tuples(*[st.integers(0, order)] * nvars).filter(
             lambda e: 1 <= sum(e) <= order)
         return st.tuples(st.just(order),
-                         st.dictionaries(exps, _fractions, max_size=8))
+                         st.dictionaries(exps, _polynomials(ring),
+                                         max_size=8))
     return st.integers(1, 5).flatmap(coefficients)
 
 
-def _both(data, nvars):
+def _one_ring(*nvars):
+    """(ring, data, ..) with one series data item per entry of nvars."""
+    return st.sampled_from(RINGS).flatmap(lambda ring: st.tuples(
+        st.just(ring), *[_series_data(ring, n) for n in nvars]))
+
+
+def _both(ring, data, nvars):
     """The same data as a TruncSeries and as an oracle _MSeries."""
     order, coeffs = data
-    return (TruncSeries(QQ, order, coeffs, nvars),
-            _MSeries(QQ, nvars, order, coeffs))
+    return (TruncSeries(ring, order, coeffs, nvars),
+            _MSeries(ring, nvars, order, coeffs))
 
 
 def _oracle_univariate(f):
@@ -215,37 +240,65 @@ def _oracle_univariate(f):
                            coeffs={k: c for (k,), c in f.coeffs.items()})
 
 
+def _canonical(series):
+    """Laurent monomials in normal form, integral coefficients as int."""
+    ring = series.ring
+    for c in series.coeffs.values():
+        assert c.terms
+        for exps, v in c.terms.items():
+            assert ring.normalize_monomial(exps) == exps, (exps, series)
+            assert v != 0
+            assert (type(v) is int) == (Fraction(v).denominator == 1)
+    return True
+
+
 def _same(new, old):
-    return (new.nvars, new.order, new.coeffs) == \
+    return _canonical(new) and (new.nvars, new.order, new.coeffs) == \
         (old.nvars, old.order, old.coeffs)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_series_data(2), _series_data(1), _series_data(1))
-def test_bivariate_subst_matches_oracle(f_data, u_data, v_data):
-    F, Fm = _both(f_data, 2)
-    u, v = (TruncSeries(QQ, order, coeffs) for order, coeffs in
-            (u_data, v_data))
-    old = Fm.subst([_from_univariate(_oracle_univariate(g), 1, 0, g.order)
-                    for g in (u, v)])
-    assert F.subst([u, v]) == _to_univariate(old, old.order)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), _one_ring(n, n))))
+def test_product_matches_oracle(case):
+    nvars, (ring, f_data, g_data) = case
+    F, Fm = _both(ring, f_data, nvars)
+    G, Gm = _both(ring, g_data, nvars)
+    assert _same(F * G, Fm * Gm)
+    assert _same(F * F, Fm * Fm)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_series_data(2), st.integers(1, 5))
-def test_trivariate_associativity_terms_match_oracle(f_data, order):
-    F, Fm = _both(f_data, 2)
-    x, y, z = (TruncSeries.variable(QQ, order, 3, t) for t in range(3))
-    xm, ym, zm = (_MSeries.variable(QQ, 3, order, t) for t in range(3))
+@given(_one_ring(2, 1, 1))
+def test_bivariate_subst_matches_oracle(case):
+    ring, f_data, u_data, v_data = case
+    F, Fm = _both(ring, f_data, 2)
+    u, v = (TruncSeries(ring, order, coeffs) for order, coeffs in
+            (u_data, v_data))
+    old = Fm.subst([_from_univariate(_oracle_univariate(g), 1, 0, g.order)
+                    for g in (u, v)])
+    new = F.subst([u, v])
+    assert _canonical(new)
+    assert new == _to_univariate(old, old.order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_one_ring(2), st.integers(1, 5))
+def test_trivariate_associativity_terms_match_oracle(case, order):
+    ring, f_data = case
+    F, Fm = _both(ring, f_data, 2)
+    x, y, z = (TruncSeries.variable(ring, order, 3, t) for t in range(3))
+    xm, ym, zm = (_MSeries.variable(ring, 3, order, t) for t in range(3))
     assert _same(F.subst([F.subst([x, y]), z]),
                  Fm.subst([Fm.subst([xm, ym]), zm]))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_series_data(1), _series_data(2))
-def test_compose_with_bivariate_matches_oracle(phi_data, g_data):
-    phi = TruncSeries(QQ, *phi_data)
-    G, Gm = _both(g_data, 2)
+@given(_one_ring(1, 2))
+def test_compose_with_bivariate_matches_oracle(case):
+    ring, phi_data, g_data = case
+    phi = TruncSeries(ring, *phi_data)
+    G, Gm = _both(ring, g_data, 2)
     order = min(phi.order, G.order)
     assert _same(phi.compose(G),
                  _compose_outer(_oracle_univariate(phi), Gm, order))
