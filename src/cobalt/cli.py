@@ -35,7 +35,7 @@ from .grassmann import (
 from .hopf import induced_hopf, mumu_rational_truncated, verify_hopf_axioms
 from .landweber import (
     ModulePresentation,
-    check_regular,
+    check_exact,
     sequence_for_prime,
 )
 from .oriented import FreeModuleOnSchur, thom_class, zero_section_report
@@ -43,6 +43,7 @@ from .rings import (
     generator_entries,
     laurent_ring,
     load_presentation,
+    object_list,
     parse_expression,
     polynomial_ring,
 )
@@ -168,14 +169,20 @@ def _custom_law(doc, ring):
     The (1,0) and (0,1) coefficients are fixed at 1; each listed entry
     is mirrored to (j,i) since any group law is commutative.
     """
+    if not isinstance(doc, dict):
+        raise InputError("a custom law must be a JSON object")
     extra = set(doc) - {"order", "exact", "ring", "coefficients"}
     if extra:
         raise InputError(f"unknown law fields {sorted(extra)}")
     order = doc.get("order")
     if not isinstance(order, int) or order < 2:
         raise InputError("a custom law needs an integer order >= 2")
+    exact = doc.get("exact", False)
+    if not isinstance(exact, bool):
+        raise InputError("law field 'exact' must be true or false")
     coeffs = {(1, 0): ring.one(), (0, 1): ring.one()}
-    for entry in doc.get("coefficients", []):
+    for entry in object_list(doc.get("coefficients", []),
+                             "law field 'coefficients'"):
         keys = set(entry) - {"i", "j", "value"}
         if keys:
             raise InputError(f"unknown coefficient fields {sorted(keys)}")
@@ -192,8 +199,7 @@ def _custom_law(doc, ring):
                     f"conflicting values for coefficient {key}")
             coeffs[key] = value
     series = TruncSeries(ring, order, coeffs, nvars=2)
-    law = FormalGroupLaw(ring, series, order,
-                         exact=bool(doc.get("exact", False)))
+    law = FormalGroupLaw(ring, series, order, exact=exact)
     axioms = fgl_check_axioms(law)
     if not axioms["ok"]:
         bad = sorted(k for k, v in axioms.items() if k != "ok" and not v)
@@ -214,13 +220,10 @@ def _load_module(doc):
     generators = [(g["name"], g["adams_degree"]) for g in generator_entries(
         doc.get("generators", [{"name": "e", "adams_degree": 0}]),
         {"name", "adams_degree"})]
-    relations = []
-    for rel in doc.get("relations", []):
-        if not isinstance(rel, dict):
-            raise InputError("each module relation is a {generator: "
-                             "coefficient} object")
-        relations.append({name: _coefficient_value(value, ring)
-                          for name, value in rel.items()})
+    relations = [{name: _coefficient_value(value, ring)
+                  for name, value in rel.items()}
+                 for rel in object_list(doc.get("relations", []),
+                                        "module field 'relations'")]
     return ring, ModulePresentation(ring, generators, relations)
 
 
@@ -360,15 +363,12 @@ def _cmd_landweber(args):
                 "a custom law needs a 'ring' field or a --module file")
         law = _custom_law(law_doc, ring)
 
-    verdicts = {}
-    for p in primes:
-        sequence = sequence_for_prime(law, p, args.height)
-        verdicts[str(p)] = check_regular(module, sequence, p,
-                                         window).to_dict()
-    exact = all(v["exact"] for v in verdicts.values())
+    verdicts, exact = check_exact(module, law, primes, args.height, window)
     report = _report("landweber", law=args.law, height=args.height,
                      window=list(window), primes=primes,
-                     verdicts=verdicts, exact=exact)
+                     verdicts={str(p): v.to_dict()
+                               for p, v in verdicts.items()},
+                     exact=exact)
     return report, exact
 
 

@@ -98,11 +98,15 @@ def universal_log_ring(order):
         "Q", [(f"m{i}", i) for i in range(1, order)])
 
 
-def universal_log(ring, order):
-    """x + m1 x^2 + m2 x^3 + ... as far as the ring provides."""
+def universal_log(ring, order, prefix="m"):
+    """x + m1 x^2 + m2 x^3 + ... as far as the ring provides.
+
+    With another prefix the same shape gives a strict coordinate change
+    x + b1 x^2 + b2 x^3 + ... on generators b1, b2, ...
+    """
     coeffs = {1: ring.one()}
     for i in range(1, order):
-        name = f"m{i}"
+        name = f"{prefix}{i}"
         if name in ring.index:
             coeffs[i + 1] = ring.gen(name)
     return TruncSeries(ring, order, coeffs)

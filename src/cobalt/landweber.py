@@ -217,28 +217,15 @@ class _Analyzer:
         shift = v.adams_degree()
         _, src_pos, src_lat = self.lattice(degree, self._stage)
         target, tgt_pos, tgt_lat = self.lattice(degree + shift, self._stage)
-        nx = len(source)
-        identity = snf.identity_matrix(nx)
         matrix = self.multiplication_matrix(v, source, tgt_pos, len(target))
         if self.rational:
-            if len(target) == 0:
-                preimage = identity
-            else:
-                # solve T x = B y over Q: kernel of [T | -B], x parts
-                raw = [list(matrix[i]) + [-vec[i] for vec in tgt_lat]
-                       for i in range(len(target))]
-                kernel = snf.kernel_basis(snf.integer_rows(raw))
-                preimage = [k[:nx] for k in kernel]
-            nonzero = [x for x in preimage if any(x)]
-            base = snf.rational_rank(src_lat) if nonzero else 0
-            for x in nonzero:
+            preimage = snf.preimage_lattice(matrix, tgt_lat)
+            base = snf.rational_rank(src_lat) if preimage else 0
+            for x in preimage:
                 if snf.rational_rank(src_lat + [x]) != base:
                     return False, x
             return True, None
-        if len(target) == 0:
-            preimage = identity
-        else:
-            preimage = snf.preimage_lattice(matrix, tgt_lat, p=self.p_local)
+        preimage = snf.preimage_lattice(matrix, tgt_lat, p=self.p_local)
         for x in preimage:
             if not snf.lattice_contains(src_lat, x, p=self.p_local):
                 return False, x

@@ -674,16 +674,21 @@ def parse_expression(text, ring):
     return value
 
 
+def object_list(entries, what):
+    """entries if it is a JSON list of objects; else refuse, naming what."""
+    if not isinstance(entries, list) \
+            or not all(isinstance(e, dict) for e in entries):
+        raise InputError(f"{what} must be a list of objects")
+    return entries
+
+
 def generator_entries(entries, fields):
     """Check a JSON generator list and return it.
 
     It must be a list of objects, each with a 'name' and an integer
     'adams_degree' and no key outside `fields`.
     """
-    if not isinstance(entries, list) \
-            or not all(isinstance(g, dict) for g in entries):
-        raise InputError("'generators' must be a list of objects")
-    for g in entries:
+    for g in object_list(entries, "'generators'"):
         extra = set(g) - fields
         if extra:
             raise InputError(f"unknown generator fields {sorted(extra)}")
@@ -712,10 +717,16 @@ def load_presentation(doc):
     gens = []
     for g in generator_entries(doc.get("generators", []),
                                {"name", "adams_degree", "invertible"}):
-        gens.append(GenSpec(str(g["name"]), g["adams_degree"],
-                            bool(g.get("invertible", False))))
+        invertible = g.get("invertible", False)
+        if not isinstance(invertible, bool):
+            raise InputError("generator field 'invertible' must be true "
+                             "or false")
+        gens.append(GenSpec(str(g["name"]), g["adams_degree"], invertible))
+    relations = doc.get("relations", [])
+    if not isinstance(relations, list):
+        raise InputError("presentation field 'relations' must be a list")
     ring = Ring(base, gens)
-    for rel in doc.get("relations", []):
+    for rel in relations:
         ring.impose(parse_expression(str(rel), ring))
     return ring
 

@@ -5,11 +5,16 @@ precision); rational matrices may also hold fractions.Fraction entries.
 Two kernels do all the work:
 
 - smith_normal_form returns the elementary divisors together with the
-  unimodular transforms and their inverses; kernels, lattice membership,
-  quotient invariants and preimage lattices are phrased through it.
+  unimodular transforms U and V, U * matrix * V diagonal.  Kernels,
+  integer and p-local solutions, lattice membership and quotient
+  invariants are read off it.
 - pivot_columns is a fraction-free row echelon: rows are cleared of
   denominators by integer_rows and eliminated over Z.  Rank, pivots and
   rational spans are phrased through it.
+
+preimage_lattice is the one preimage routine, for Z, for Z localized
+at a prime p, and for Q (whose preimage is the rational span of the
+integer one); p_saturation is one of its instances.
 
 Lattices are represented as plain lists of generator vectors living in
 Z^n; they need not be independent.  An optional prime p switches the
@@ -23,25 +28,6 @@ from math import gcd, lcm
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = a[i]
-        out_row = [0] * m
-        for t in range(k):
-            x = row[t]
-            if x:
-                brow = b[t]
-                for j in range(m):
-                    if brow[j]:
-                        out_row[j] += x * brow[j]
-        out.append(out_row)
-    return out
 
 
 def mat_vec(a, v):
@@ -59,9 +45,7 @@ class SmithForm:
     rows: int
     cols: int
     u: list                  # unimodular, rows x rows
-    u_inv: list
     v: list                  # unimodular, cols x cols
-    v_inv: list
 
     @property
     def rank(self):
@@ -83,15 +67,11 @@ def smith_normal_form(matrix):
     m = len(a)
     n = len(a[0]) if m else 0
     u = identity_matrix(m)
-    u_inv = identity_matrix(m)
     v = identity_matrix(n)
-    v_inv = identity_matrix(n)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
 
     def row_addmul(i, j, c):
         # row_i += c * row_j
@@ -101,21 +81,16 @@ def smith_normal_form(matrix):
         ui, uj = u[i], u[j]
         for t in range(m):
             ui[t] += c * uj[t]
-        for r in u_inv:
-            r[j] -= c * r[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_addmul(i, j, c):
         # col_i += c * col_j
@@ -123,9 +98,6 @@ def smith_normal_form(matrix):
             r[i] += c * r[j]
         for r in v:
             r[i] += c * r[j]
-        vi, vj = v_inv[i], v_inv[j]
-        for t in range(n):
-            vj[t] -= c * vi[t]
 
     divisors = []
     t = 0
@@ -188,7 +160,7 @@ def smith_normal_form(matrix):
         t += 1
 
     divisors.extend([0] * (min(m, n) - len(divisors)))
-    return SmithForm(divisors, m, n, u, u_inv, v, v_inv)
+    return SmithForm(divisors, m, n, u, v)
 
 
 def kernel_basis(matrix):
@@ -297,37 +269,38 @@ def quotient_is_zero(ambient_rank, gens, p=None):
 
 def p_saturation(gens, ambient_rank, p):
     """Generators of {v in Z^n : c*v in <gens> for some c coprime to p}."""
-    if not gens:
-        return []
-    s = smith_normal_form(columns_matrix(gens, ambient_rank))
-    out = []
-    for i in range(s.rank):
-        scale = p ** _p_valuation(s.divisors[i], p)
-        out.append([s.u_inv[r][i] * scale for r in range(ambient_rank)])
-    return out
+    return preimage_lattice(identity_matrix(ambient_rank), gens, p)
 
 
 def preimage_lattice(matrix, target_gens, p=None):
     """Generators of {x : matrix @ x lies in <target_gens>} (p-locally if p).
 
-    matrix maps Z^n -> Z^m; target_gens live in Z^m.  The p-local preimage
-    of L' equals the integer preimage of the p-saturation of L', so the
-    computation stays in Z.
+    matrix maps Z^n -> Z^m; target_gens live in Z^m.  Without p, entries
+    may be int or Fraction: each row of [matrix | -target] is cleared of
+    denominators by integer_rows, which leaves the kernel unchanged, so
+    over Q the rational span of the result is the rational preimage.
+
+    With p set, the preimage is taken of the p-saturation Sat_p(L) of
+    L = <target_gens>, the v with c*v in L for some c coprime to p.  Let
+    c be the part of the last nonzero elementary divisor of L that is
+    prime to p.  Every elementary divisor divides it, so c kills exactly
+    the torsion of Z^m / L of order prime to p, and v lies in Sat_p(L)
+    iff c*v lies in L.  Hence the p-local preimage is the integer
+    preimage of L under c * matrix, and the computation stays in Z.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    gens = target_gens
-    if p is not None:
-        gens = p_saturation(target_gens, m, p)
     if m == 0:
         return identity_matrix(n)
-    stacked = [matrix[i][:] + [-g[i] for g in gens] for i in range(m)]
-    out = []
-    for vec in kernel_basis(stacked):
-        head = vec[:n]
-        if any(head):
-            out.append(head)
-    return out
+    scale = 1
+    if p is not None and target_gens:
+        divisors = smith_normal_form(columns_matrix(target_gens, m)).divisors
+        last = next((d for d in reversed(divisors) if d), 1)
+        scale = last // p ** _p_valuation(last, p)
+    stacked = integer_rows([[scale * x for x in matrix[i]]
+                            + [-g[i] for g in target_gens]
+                            for i in range(m)])
+    return [vec[:n] for vec in kernel_basis(stacked) if any(vec[:n])]
 
 
 # -- rational routines ---------------------------------------------------------

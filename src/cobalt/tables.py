@@ -209,10 +209,7 @@ def verify_finite_field_table(q, p_range, q_range):
     mismatches = []
     for (p, w), entry in sorted(table.items()):
         eff = entry.effective(field)
-        if p == 2 * w and p <= 0:
-            want = DimExpr(q_mult=partition_count(-w))
-        else:
-            want = DimExpr()
+        want = DimExpr(q_mult=lazard_rank(p, w))
         if eff != want:
             mismatches.append({
                 "p": p, "q": w,

@@ -366,3 +366,81 @@ def test_cobordism_accepts_prime_power_fields(capsys, field):
                             "--window", "0:1,0:1")
     assert code == 0
     assert report["field"] == field
+
+
+# -- JSON loaders: malformed fields exit 2 and name the field -------------
+
+_Z_RING = {"base": "Z", "generators": [], "relations": []}
+_BETA_RING = {"base": "Z",
+              "generators": [{"name": "beta", "adams_degree": 1,
+                              "invertible": True}],
+              "relations": []}
+
+
+def _refused(capsys, argv, field):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("law", [5, [{"order": 3}]])
+def test_law_file_must_hold_an_object(capsys, tmp_path, law):
+    module = _module_file(tmp_path, {"ring": _Z_RING})
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    _refused(capsys, ["landweber", "--module", module, "--law", str(path),
+                      "--primes", "2", "--height", "0"], "JSON object")
+
+
+@pytest.mark.parametrize("coefficients", [5, [5]])
+def test_law_coefficients_must_be_a_list_of_objects(capsys, tmp_path,
+                                                    coefficients):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"ring": _Z_RING, "order": 3,
+                                "coefficients": coefficients}))
+    _refused(capsys, ["landweber", "--law", str(path), "--primes", "2",
+                      "--height", "0"], "'coefficients'")
+
+
+def test_induced_law_coefficients_must_be_a_list(capsys, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({
+        "ring": {"base": "Q", "generators": [], "relations": []},
+        "law": {"order": 3, "coefficients": 5}}))
+    _refused(capsys, ["hopf", "--N", "3", "--induced", str(path)],
+             "'coefficients'")
+
+
+def test_module_relations_must_be_a_list(capsys, tmp_path):
+    module = _module_file(tmp_path, {"ring": _Z_RING, "relations": 5})
+    _refused(capsys, ["landweber", "--law", "additive", "--module", module,
+                      "--primes", "2", "--height", "0"], "'relations'")
+
+
+def test_presentation_relations_must_be_a_list(capsys, tmp_path):
+    module = _module_file(tmp_path, {
+        "ring": {"base": "Z", "generators": [], "relations": 5}})
+    _refused(capsys, ["landweber", "--law", "additive", "--module", module,
+                      "--primes", "2", "--height", "0"], "'relations'")
+
+
+def test_invertible_must_be_a_boolean(capsys, tmp_path):
+    module = _module_file(tmp_path, {
+        "ring": {"base": "Z",
+                 "generators": [{"name": "x", "adams_degree": 1,
+                                 "invertible": "no"}],
+                 "relations": []}})
+    _refused(capsys, ["landweber", "--law", "additive", "--module", module,
+                      "--primes", "2", "--height", "0"], "'invertible'")
+
+
+def test_exact_must_be_a_boolean(capsys, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({
+        "ring": _BETA_RING, "order": 4, "exact": "false",
+        "coefficients": [{"i": 1, "j": 1, "value": "-beta"}]}))
+    _refused(capsys, ["landweber", "--law", str(path), "--primes", "2",
+                      "--height", "2", "--window", "0:4"], "'exact'")

@@ -31,6 +31,28 @@ LAW_FILE = {
             "coefficients": [{"i": 1, "j": 1, "value": "-2*beta"}]},
 }
 
+# Z[t]/(2t^2) with the relation 6e: integer preimages with witnesses
+TORSION_MODULE = {
+    "ring": {"base": "Z",
+             "generators": [{"name": "t", "adams_degree": 1}],
+             "relations": ["2*t^2"]},
+    "generators": [{"name": "e", "adams_degree": 0}],
+    "relations": [{"e": 6}],
+}
+
+# two generators over Q[beta]: rational preimages
+RATIONAL_MODULE = {
+    "ring": {"base": "Q",
+             "generators": [{"name": "beta", "adams_degree": 1}],
+             "relations": []},
+    "generators": [{"name": "e", "adams_degree": 0},
+                   {"name": "f", "adams_degree": 1}],
+    "relations": [{"e": "3*beta^2", "f": "2*beta"}, {"f": "beta^2"}],
+}
+
+INPUT_FILES = {"law": LAW_FILE, "torsion": TORSION_MODULE,
+               "rational": RATIONAL_MODULE}
+
 
 def _fgl_commands():
     out = []
@@ -68,11 +90,15 @@ COMMANDS = _fgl_commands() + [
      "--p-series", "2", "--landweber", "2", "3"],
     ["hopf", "--N", "9"],
     ["verify-all", "--seed", "0"],
+    ["landweber", "--module", "{torsion}", "--law", "additive",
+     "--primes", "2,3,5", "--height", "2", "--window", "-2:6"],
+    ["landweber", "--module", "{rational}", "--law", "multiplicative",
+     "--primes", "2,3", "--height", "2", "--window", "-1:4"],
 ]
 
 
-def _run(argv, law_path):
-    argv = [str(law_path) if a == "{law}" else a for a in argv]
+def _run(argv, paths):
+    argv = [str(paths.get(a, a)) for a in argv]
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = main(argv)
@@ -80,22 +106,26 @@ def _run(argv, law_path):
     return {"exit": code, "sha256": digest}
 
 
-def _law_path(directory):
-    path = pathlib.Path(directory) / "law.json"
-    path.write_text(json.dumps(LAW_FILE))
-    return path
+def _input_paths(directory):
+    """Write INPUT_FILES and map each placeholder "{name}" to its path."""
+    paths = {}
+    for name, doc in INPUT_FILES.items():
+        path = pathlib.Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[f"{{{name}}}"] = path
+    return paths
 
 
 def test_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    law_path = _law_path(tmp_path)
+    paths = _input_paths(tmp_path)
     assert sorted(golden) == sorted(" ".join(a) for a in COMMANDS)
     for argv in COMMANDS:
-        assert _run(argv, law_path) == golden[" ".join(argv)], argv
+        assert _run(argv, paths) == golden[" ".join(argv)], argv
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
-        law_path = _law_path(directory)
-        table = {" ".join(a): _run(a, law_path) for a in COMMANDS}
+        paths = _input_paths(directory)
+        table = {" ".join(a): _run(a, paths) for a in COMMANDS}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

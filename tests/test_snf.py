@@ -10,19 +10,43 @@ from cobalt import snf
 from echelon_oracle import pivot_columns as oracle_pivot_columns
 
 
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def determinant(a):
+    """Determinant by Fraction elimination, independent of snf."""
+    a = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for t in range(len(a)):
+        pivot = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if pivot is None:
+            return 0
+        if pivot != t:
+            a[t], a[pivot] = a[pivot], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, len(a)):
+            factor = a[i][t] / a[t][t]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[t])]
+    return det
+
+
 def check_factorization(a):
+    """U * A * V = D, the divisor chain, and |det U| = |det V| = 1."""
     form = snf.smith_normal_form(a)
     m, n = len(a), len(a[0])
-    d = snf.mat_mul(snf.mat_mul(form.u, a), form.v)
+    d = mat_mul(mat_mul(form.u, a), form.v)
     for i in range(m):
         for j in range(n):
-            want = form.divisors[i] if i == j and i < len(form.divisors) else 0
-            assert d[i][j] == want
-    assert snf.mat_mul(form.u, form.u_inv) == snf.identity_matrix(m)
-    assert snf.mat_mul(form.v, form.v_inv) == snf.identity_matrix(n)
-    for i in range(len(form.divisors) - 1):
-        if form.divisors[i + 1]:
-            assert form.divisors[i + 1] % max(form.divisors[i], 1) == 0
+            assert d[i][j] == (form.divisors[i] if i == j else 0)
+    assert abs(determinant(form.u)) == 1
+    assert abs(determinant(form.v)) == 1
+    nonzero = [x for x in form.divisors if x]
+    assert form.divisors == nonzero + [0] * (min(m, n) - len(nonzero))
+    assert all(x > 0 for x in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
     return form
 
 
@@ -43,6 +67,14 @@ def test_random_factorizations():
         n = rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         check_factorization(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=m, max_size=m))))
+def test_smith_form_certificate(matrix):
+    check_factorization(matrix)
 
 
 def test_zero_and_identity():
@@ -201,3 +233,62 @@ def test_determinism():
     assert first.divisors == second.divisors
     assert first.u == second.u
     assert first.v == second.v
+
+
+def _preimage_cases(entries):
+    """(matrix, target gens, x) with 1 <= m, n <= 4.
+
+    One target generator is k * matrix @ x for a drawn k in 0..6, so x
+    often lies in the preimage over Z_(p) or Q but not over Z.
+    """
+    def build(shape):
+        m, n = shape
+        return st.tuples(
+            st.lists(st.lists(entries, min_size=n, max_size=n),
+                     min_size=m, max_size=m),
+            st.lists(st.lists(entries, min_size=m, max_size=m), max_size=3),
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            st.integers(0, 6))
+
+    def join(case):
+        matrix, gens, x, k = case
+        return matrix, gens + [[k * y for y in snf.mat_vec(matrix, x)]], x
+
+    shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+    return shapes.flatmap(build).map(join)
+
+
+_primes = st.sampled_from([None, 2, 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_preimage_cases(st.integers(-6, 6)), _primes)
+def test_preimage_lattice_membership(case, p):
+    matrix, gens, x = case
+    pre = snf.preimage_lattice(matrix, gens, p)
+    inside = snf.lattice_contains(gens, snf.mat_vec(matrix, x), p)
+    assert snf.lattice_contains(pre, x, p) == inside
+    # the generators span the p-saturated integer preimage itself
+    assert snf.lattice_contains(pre, x) == inside
+
+
+@settings(max_examples=100, deadline=None)
+@given(_preimage_cases(st.one_of(st.integers(-4, 4), _fractions)))
+def test_rational_preimage_membership(case):
+    matrix, gens, x = case
+    pre = snf.preimage_lattice(matrix, gens)
+    assert snf.rational_in_span(pre, x) == \
+        snf.rational_in_span(gens, snf.mat_vec(matrix, x))
+
+
+def _vectors(n):
+    return st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(_vectors(n), max_size=4), _vectors(n))), st.sampled_from([2, 3]))
+def test_p_saturation_membership(case, p):
+    gens, v = case
+    sat = snf.p_saturation(gens, len(v), p)
+    assert snf.lattice_contains(sat, v) == snf.lattice_contains(gens, v, p=p)
