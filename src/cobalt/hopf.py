@@ -18,7 +18,7 @@ polynomials, never at sample points.
 
 from .errors import AxiomsFail, IllFormed, InputError
 from .fgl import FormalGroupLaw, fgl_check_axioms, pushforward, universal_log
-from .rings import GenSpec, Ring, polynomial_ring
+from .rings import GenSpec, Ring, degree_lattice, polynomial_ring
 from .series import TruncSeries
 from . import snf
 
@@ -342,11 +342,9 @@ class InducedHopf:
         witness combination, never invent one, so a positive answer is
         exact.
         """
-        ideal = list(self.relations)
-        for i in range(1, self.N):
-            name = f"b{i}"
-            if name in self.ring.index:
-                ideal.append(self.ring.gen(name))
+        ideal = [(h.adams_degree(), {None: h}) for h in self.relations + [
+            self.ring.gen(f"b{i}") for i in range(1, self.N)
+            if f"b{i}" in self.ring.index]]
         for gname, image_l in self.eta_L.items():
             delta = image_l - self.eta_R[gname]
             if delta.is_zero():
@@ -354,28 +352,14 @@ class InducedHopf:
             degree = delta.adams_degree()
             bound = exponent_bound if exponent_bound is not None \
                 else abs(degree) + 2
-            multiples = []
-            for h in ideal:
-                hdeg = h.adams_degree()
-                if hdeg is None:
-                    continue
-                mons, _ = self.ring.monomials_of_degree(degree - hdeg, bound)
-                for mu in mons:
-                    multiples.append(h * type(h)(self.ring, {mu: 1}))
-            carrier = sorted(set(delta.terms)
-                             | {e for p in multiples for e in p.terms})
-            position = {m: i for i, m in enumerate(carrier)}
-            columns = [self._vector(p, position) for p in multiples]
-            target = self._vector(delta, position)
+            carrier, columns, _ = degree_lattice(
+                self.ring, degree, None, ideal, bound)
+            if not {m for _, m in carrier}.issuperset(delta.terms):
+                return False
+            target = [delta.terms.get(m, 0) for _, m in carrier]
             if not snf.rational_in_span(columns, target):
                 return False
         return True
-
-    def _vector(self, poly, position):
-        vec = [0] * len(position)
-        for exps, c in poly.terms.items():
-            vec[position[exps]] = c
-        return vec
 
     def to_dict(self):
         return {

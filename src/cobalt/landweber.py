@@ -3,12 +3,12 @@
 Given a graded module M over a presented ring and a sequence v_0, v_1,
 ... of homogeneous elements, stage n asks whether v_n acts injectively
 on Q_n = M / (v_0..v_{n-1}) M.  Everything is checked degreewise inside
-a finite window of Adams degrees: each degree gives a finitely
-generated abelian group presented by an integer lattice (relation
-multiples, module relations, and lower sequence elements), and
-injectivity of multiplication becomes a lattice preimage comparison
-solved by Smith normal form.  Over a base of Q the same comparisons run
-through rational spans instead.
+a finite window of Adams degrees: `rings.degree_lattice` presents each
+degree of Q_n by the multiples of the ring relations, the module
+relations and v_0..v_{n-1}, and injectivity of multiplication becomes
+a comparison of the integer preimage of the target lattice with the
+source lattice, by Smith normal form over Z or Z_(p) and by rational
+rank over Q.
 
 Stage statuses:
   quotient_vanishes    every window degree of Q_n is zero
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import InhomogeneousRelation, InputError
 from .fgl import landweber_generators
-from .rings import Polynomial
+from .rings import Polynomial, degree_lattice
 from . import snf
 
 
@@ -124,73 +124,36 @@ class _Analyzer:
         self.bound = bound
         self.rational = self.ring.base == "Q"
         self.p_local = self.ring.localized_at
-        self._carriers = {}
+        self._monomials = {}
         self._lattices = {}
 
-    # -- carriers and vectors --------------------------------------------
+    # -- presentations -----------------------------------------------------
 
-    def carrier(self, degree):
-        if degree not in self._carriers:
-            items = []
-            for gname, gdeg in self.module.generators:
-                monos, flagged = self.ring.monomials_of_degree(
-                    degree - gdeg, self.bound)
-                if flagged:
-                    raise _Truncated()
-                items.extend((gname, m) for m in monos)
-            self._carriers[degree] = (
-                items, {gm: i for i, gm in enumerate(items)})
-        return self._carriers[degree]
+    def present(self, degree, elements):
+        """degree_lattice of the module in one degree; raises if truncated."""
+        carrier, rows, truncated = degree_lattice(
+            self.ring, degree, self.module.generators, elements, self.bound,
+            self._monomials)
+        if truncated:
+            raise _Truncated()
+        return carrier, rows
 
-    def vector(self, gname, poly, position, width):
-        vec = [0] * width
-        for exps, c in poly.terms.items():
-            key = (gname, exps)
-            if key not in position:
-                raise _Truncated()
-            vec[position[key]] = c
-        return vec
+    def times_generators(self, polys):
+        return [(p.adams_degree() + gdeg, {gname: p})
+                for p in polys if not p.is_zero()
+                for gname, gdeg in self.module.generators]
+
+    def elements(self, stage):
+        """Ring relations, module relations and v_0..v_{stage-1}."""
+        return (self.times_generators(self.ring.relations)
+                + self.module.relations
+                + self.times_generators(self.sequence[:stage]))
 
     def lattice(self, degree, stage):
-        """Presentation lattice of Q_stage in one degree."""
+        """Carrier and presentation rows of Q_stage in one degree."""
         key = (degree, stage)
-        if key in self._lattices:
-            return self._lattices[key]
-        carrier, position = self.carrier(degree)
-        width = len(carrier)
-        vecs = []
-
-        def monomial_multiples(poly, gname, gdeg):
-            pd = poly.adams_degree()
-            monos, flagged = self.ring.monomials_of_degree(
-                degree - gdeg - pd, self.bound)
-            if flagged:
-                raise _Truncated()
-            for m in monos:
-                prod = Polynomial(self.ring, {m: 1}) * poly
-                vecs.append(self.vector(gname, prod, position, width))
-
-        for rel in self.ring.relations:
-            for gname, gdeg in self.module.generators:
-                monomial_multiples(rel, gname, gdeg)
-        for rel_degree, rel in self.module.relations:
-            monos, flagged = self.ring.monomials_of_degree(
-                degree - rel_degree, self.bound)
-            if flagged:
-                raise _Truncated()
-            for m in monos:
-                vec = [0] * width
-                for gname, coeff in rel.items():
-                    prod = Polynomial(self.ring, {m: 1}) * coeff
-                    part = self.vector(gname, prod, position, width)
-                    vec = [a + b for a, b in zip(vec, part)]
-                vecs.append(vec)
-        for v in self.sequence[:stage]:
-            if v.is_zero():
-                continue
-            for gname, gdeg in self.module.generators:
-                monomial_multiples(v, gname, gdeg)
-        self._lattices[key] = (carrier, position, vecs)
+        if key not in self._lattices:
+            self._lattices[key] = self.present(degree, self.elements(stage))
         return self._lattices[key]
 
     # -- per-degree component tests ------------------------------------------
@@ -202,32 +165,25 @@ class _Analyzer:
             return snf.rational_rank(lattice) == width
         return snf.quotient_is_zero(width, lattice, p=self.p_local)
 
-    def multiplication_matrix(self, v, source, target_position, width):
-        columns = []
-        for gname, m in source:
-            prod = Polynomial(self.ring, {m: 1}) * v
-            columns.append(self.vector(gname, prod, target_position, width))
-        return [[col[i] for col in columns] for i in range(width)]
-
     def injective_at(self, v, degree):
         """Is multiplication by v injective out of this degree?"""
-        source, _ = self.carrier(degree)
+        source, src_lat = self.lattice(degree, self._stage)
         if not source:
             return True, None
         shift = v.adams_degree()
-        _, src_pos, src_lat = self.lattice(degree, self._stage)
-        target, tgt_pos, tgt_lat = self.lattice(degree + shift, self._stage)
-        matrix = self.multiplication_matrix(v, source, tgt_pos, len(target))
-        if self.rational:
-            preimage = snf.preimage_lattice(matrix, tgt_lat)
-            base = snf.rational_rank(src_lat) if preimage else 0
-            for x in preimage:
-                if snf.rational_rank(src_lat + [x]) != base:
-                    return False, x
-            return True, None
-        preimage = snf.preimage_lattice(matrix, tgt_lat, p=self.p_local)
+        _, tgt_lat = self.lattice(degree + shift, self._stage)
+        _, columns = self.present(degree + shift, self.times_generators([v]))
+        # over Z on every base; its Q or Z_(p) span is the preimage there
+        preimage = snf.preimage_lattice([list(r) for r in zip(*columns)],
+                                        tgt_lat)
+        if self.rational and preimage:
+            base = snf.rational_rank(src_lat)
         for x in preimage:
-            if not snf.lattice_contains(src_lat, x, p=self.p_local):
+            if self.rational:
+                inside = snf.rational_rank(src_lat + [x]) == base
+            else:
+                inside = snf.lattice_contains(src_lat, x, p=self.p_local)
+            if not inside:
                 return False, x
         return True, None
 
@@ -239,7 +195,7 @@ class _Analyzer:
         try:
             nonzero = []
             for degree in range(lo, hi + 1):
-                carrier, _, lattice = self.lattice(degree, n)
+                carrier, lattice = self.lattice(degree, n)
                 if not self.component_is_zero(len(carrier), lattice):
                     nonzero.append(degree)
             if not nonzero:

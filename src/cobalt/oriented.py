@@ -323,10 +323,6 @@ class BundleElement:
     __repr__ = __str__
 
 
-def grassmann_cohomology(coeff, n, d):
-    return FreeModuleOnSchur(coeff, n, d)
-
-
 def tautological_bundle(n, d):
     """The projective bundle over R(n, d) with c_i = x_i."""
     G = grassmannian(n, d)

@@ -22,13 +22,14 @@ stored.
 >>> Q.const(Fraction(1, 2)).terms
 {(): Fraction(1, 2)}
 
-Graded components are analyzed degreewise without Groebner bases: the
-monomials of one Adams degree are enumerated under an exponent bound,
-all relation multiples landing in that degree are assembled into a
-matrix, one fraction-free echelon yields the rank and a monomial basis,
-and over Z the Smith normal form adds the torsion.  The report carries
-a `truncated` flag whenever the bound may have cut the enumeration
-short; when the flag is off the invariants are exact.
+Graded pieces are analyzed degreewise without Groebner bases.
+`degree_lattice` is the one presentation of an Adams degree: monomials
+under an exponent bound, and a row for each monomial multiple of given
+elements that lands there.  Components, Landweber quotients and the
+Hopf collapse check all call it.  For a component one fraction-free
+echelon yields the rank and a monomial basis, and over Z the Smith form
+adds the torsion; a `truncated` flag marks a cut the bound may have
+made, and when it is off the invariants are exact.
 """
 
 from dataclasses import dataclass, field
@@ -505,6 +506,60 @@ class GradedComponentReport:
     note: str = ""
 
 
+def degree_lattice(ring, degree, generators, elements, bound, cache=None):
+    """(carrier, rows, truncated) presenting one degree of a graded module.
+
+    The module is free on `generators`, (name, degree) pairs, modulo the
+    homogeneous `elements`, (degree, {name: Polynomial}) pairs; one of
+    degree None is zero.  The carrier holds the (name, monomial)
+    coordinates, generator by generator, monomials descending, or with
+    generators None every coordinate a row reaches, sorted.  Each row is
+    one monomial multiple of an element.  A product term outside the
+    carrier is appended to it; that, or an enumeration the bound may
+    have cut short, sets `truncated`.  A `cache` dict kept across calls
+    under one bound enumerates each degree offset once.
+    """
+    cache = {} if cache is None else cache
+
+    def monomials(d):
+        if d not in cache:
+            cache[d] = ring.monomials_of_degree(d, bound)
+        return cache[d]
+
+    truncated = False
+    carrier = []
+    for name, gdeg in generators or ():
+        monos, flag = monomials(degree - gdeg)
+        truncated = truncated or flag
+        carrier.extend((name, m) for m in monos)
+    sparse = []     # rows stay dicts until the carrier stops growing
+    for edeg, element in elements:
+        if edeg is None:
+            continue
+        monos, flag = monomials(degree - edeg)
+        truncated = truncated or flag
+        for m in monos:
+            row = {}
+            for name, poly in element.items():
+                for exps, c in (ring.poly({m: 1}) * poly).terms.items():
+                    row[name, exps] = row.get((name, exps), 0) + c
+            sparse.append(row)
+    if generators is None:
+        carrier = sorted({key for row in sparse for key in row})
+    position = {key: i for i, key in enumerate(carrier)}
+    for row in sparse:
+        for key in row:
+            if key not in position:
+                position[key] = len(carrier)
+                carrier.append(key)
+                truncated = True
+    rows = [[0] * len(carrier) for _ in sparse]
+    for dense, row in zip(rows, sparse):
+        for key, c in row.items():
+            dense[position[key]] = c
+    return carrier, rows, truncated
+
+
 def graded_component(ring, degree, exponent_bound=None):
     """Rank, torsion and a monomial basis of one Adams-degree component.
 
@@ -517,37 +572,16 @@ def graded_component(ring, degree, exponent_bound=None):
         rel_deg = max((abs(r.adams_degree() or 0) for r in ring.relations),
                       default=0)
         exponent_bound = max(1, abs(degree) + rel_deg)
-    carrier, truncated = ring.monomials_of_degree(degree, exponent_bound)
-    position = {m: i for i, m in enumerate(carrier)}
-    rows = []
-    for rel in ring.relations:
-        rel_degree = rel.adams_degree()
-        if rel_degree is None:
-            continue
-        mults, flag = ring.monomials_of_degree(degree - rel_degree,
-                                               exponent_bound)
-        truncated = truncated or flag
-        for m in mults:
-            prod = Polynomial(ring, {m: 1}) * rel
-            vec = [0] * len(carrier)
-            for exps, c in prod.terms.items():
-                if exps not in position:
-                    # legitimate monomial the bound had excluded
-                    position[exps] = len(carrier)
-                    carrier.append(exps)
-                    truncated = True
-                    for r in rows:
-                        r.append(0)
-                    vec.append(0)
-                vec[position[exps]] = c
-            rows.append(vec)
-
+    carrier, rows, truncated = degree_lattice(
+        ring, degree, [(None, 0)],
+        [(rel.adams_degree(), {None: rel}) for rel in ring.relations],
+        exponent_bound)
     pivots = set(snf.pivot_columns(rows))
     free = len(carrier) - len(pivots)
     torsion = []
     if ring.base != "Q" and rows:
         torsion = [d for d in snf.smith_normal_form(rows).divisors if d > 1]
-    basis = [m for i, m in enumerate(carrier) if i not in pivots]
+    basis = [m for i, (_, m) in enumerate(carrier) if i not in pivots]
     note = "exponent bound was active; invariants may be incomplete" \
         if truncated else ""
     return GradedComponentReport(degree, free, torsion, basis, truncated, note)

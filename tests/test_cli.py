@@ -127,6 +127,28 @@ def test_landweber_module_file(capsys, tmp_path):
     assert report["verdicts"]["2"]["stages"][0]["status"] == "fails"
 
 
+@pytest.mark.parametrize("zero", ["0", "t - t"])
+def test_landweber_skips_a_zero_ring_relation(capsys, tmp_path, zero):
+    def verdicts(relations):
+        module = tmp_path / "mod.json"
+        module.write_text(json.dumps({
+            "ring": {"base": "Z",
+                     "generators": [{"name": "t", "adams_degree": 1}],
+                     "relations": relations},
+            "generators": [{"name": "e", "adams_degree": 0}],
+            "relations": [{"e": "2*t"}],
+        }))
+        return run(capsys, "landweber", "--module", str(module),
+                   "--law", "additive", "--primes", "2", "--height", "1",
+                   "--window", "0:2")
+
+    code, out = verdicts([zero])
+    assert (code, out) == verdicts([])
+    assert code == 1
+    stages = json.loads(out)["verdicts"]["2"]["stages"]
+    assert [s["status"] for s in stages] == ["fails", "fails"]
+
+
 def test_landweber_custom_law_file(capsys, tmp_path):
     law = tmp_path / "law.json"
     law.write_text(json.dumps({

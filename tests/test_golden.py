@@ -50,8 +50,27 @@ RATIONAL_MODULE = {
     "relations": [{"e": "3*beta^2", "f": "2*beta"}, {"f": "beta^2"}],
 }
 
+# the additive law over Q[t]: the two units stay apart
+ADDITIVE_LAW_FILE = {
+    "ring": {"base": "Q",
+             "generators": [{"name": "t", "adams_degree": 1}],
+             "relations": []},
+    "law": "additive",
+}
+
+# Z[u, t] with u in degree 0: every enumeration meets the exponent bound
+DEGREE_ZERO_MODULE = {
+    "ring": {"base": "Z",
+             "generators": [{"name": "u", "adams_degree": 0},
+                            {"name": "t", "adams_degree": 1}],
+             "relations": ["u*t - 2*t"]},
+    "generators": [{"name": "e", "adams_degree": 0}],
+    "relations": [{"e": "3*u"}],
+}
+
 INPUT_FILES = {"law": LAW_FILE, "torsion": TORSION_MODULE,
-               "rational": RATIONAL_MODULE}
+               "rational": RATIONAL_MODULE, "additive": ADDITIVE_LAW_FILE,
+               "degree_zero": DEGREE_ZERO_MODULE}
 
 
 def _fgl_commands():
@@ -94,6 +113,9 @@ COMMANDS = _fgl_commands() + [
      "--primes", "2,3,5", "--height", "2", "--window", "-2:6"],
     ["landweber", "--module", "{rational}", "--law", "multiplicative",
      "--primes", "2,3", "--height", "2", "--window", "-1:4"],
+    ["hopf", "--N", "3", "--induced", "{additive}"],
+    ["landweber", "--module", "{degree_zero}", "--law", "additive",
+     "--primes", "2,3", "--height", "2", "--window", "-2:3"],
 ]
 
 

@@ -3,17 +3,28 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobalt.errors import InhomogeneousRelation, InputError
 from cobalt.fgl import fgl_additive, fgl_multiplicative, fgl_universal_rational
 from cobalt.landweber import (
     ModulePresentation,
+    _Analyzer,
+    _Truncated,
     check_exact,
     check_regular,
     perturb_sequence,
     sequence_for_prime,
 )
-from cobalt.rings import Ring, laurent_ring, polynomial_ring
+from cobalt.rings import (
+    Polynomial,
+    Ring,
+    degree_lattice,
+    laurent_ring,
+    polynomial_ring,
+)
+
+import presentation_oracle
 
 
 def statuses(verdict):
@@ -228,3 +239,59 @@ def test_input_validation():
     for degree in (1.5, True, "2"):
         with pytest.raises(InputError):
             ModulePresentation(ring, [("e", degree)])
+
+
+# -- one degree's presentation against the oracle -------------------------
+
+_RINGS = {
+    "Z[t, s]": lambda: polynomial_ring("Z", [("t", 1), ("s", 2)]),
+    "Q[t]": lambda: polynomial_ring("Q", [("t", 1)]),
+    "Z[beta^+-1]": lambda: laurent_ring("Z", "beta"),
+}
+
+
+def _homogeneous(data, ring, degree):
+    """A drawn element of one degree, possibly zero."""
+    monos, _ = ring.monomials_of_degree(degree, 2)
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(monos),
+                                max_size=len(monos)))
+    return Polynomial(ring, dict(zip(monos, coeffs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_degree_lattice_matches_oracle(data):
+    ring = _RINGS[data.draw(st.sampled_from(sorted(_RINGS)))]()
+    for _ in range(data.draw(st.integers(0, 2))):
+        rel = _homogeneous(data, ring, data.draw(st.integers(1, 3)))
+        if not rel.is_zero():
+            ring.impose(rel)
+    degrees = data.draw(st.lists(st.integers(-2, 2), min_size=1,
+                                 max_size=3))
+    generators = [(f"e{i}", d) for i, d in enumerate(degrees)]
+    relations = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        rel_degree = data.draw(st.integers(-1, 3))
+        relations.append({name: _homogeneous(data, ring, rel_degree - d)
+                          for name, d in generators})
+    module = ModulePresentation(ring, generators, relations)
+    sequence = [_homogeneous(data, ring, data.draw(st.integers(0, 2)))
+                for _ in range(2)]
+    stage = data.draw(st.integers(0, 2))
+    bound = data.draw(st.integers(0, 4))
+    degree = data.draw(st.integers(-3, 3))
+
+    analyzer = _Analyzer(module, sequence, (degree, degree), bound)
+    carrier, rows, truncated = degree_lattice(
+        ring, degree, module.generators, analyzer.elements(stage), bound)
+    try:
+        expected = presentation_oracle.lattice(module, sequence, degree,
+                                               stage, bound)
+    except presentation_oracle.Truncated:
+        assert truncated
+        with pytest.raises(_Truncated):
+            analyzer.lattice(degree, stage)
+        return
+    assert not truncated
+    assert (carrier, rows) == expected
+    assert analyzer.lattice(degree, stage) == expected

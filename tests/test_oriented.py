@@ -6,8 +6,8 @@ import pytest
 from cobalt.errors import DegreeMismatch, InputError
 from cobalt.grassmann import grassmannian, partitions_in_box
 from cobalt.oriented import (
+    FreeModuleOnSchur,
     ProjBundleRing,
-    grassmann_cohomology,
     tautological_bundle,
     thom_class,
     zero_section_report,
@@ -88,7 +88,7 @@ def test_schur_module_matches_integer_constants():
     for n in range(1, 7):
         for d in range(n + 1):
             G = grassmannian(n, d)
-            M = grassmann_cohomology(consts, n, d)
+            M = FreeModuleOnSchur(consts, n, d)
             assert M.rank == G.rank
             for a in partitions_in_box(d, n - d):
                 for b in partitions_in_box(d, n - d):
@@ -101,7 +101,7 @@ def test_schur_module_matches_integer_constants():
 def test_schur_module_over_laurent():
     kgl = laurent_ring("Z", "b")
     b = kgl.gen("b")
-    M = grassmann_cohomology(kgl, 2, 1)
+    M = FreeModuleOnSchur(kgl, 2, 1)
     assert M.rank == 2
     s1 = M.schur_class((1,))
     # in the 1 x 1 box Delta_1^2 reduces to zero
@@ -113,7 +113,7 @@ def test_schur_module_over_laurent():
 def test_pieri_persists_after_base_change():
     kgl = laurent_ring("Z", "b")
     b = kgl.gen("b")
-    M = grassmann_cohomology(kgl, 4, 2)
+    M = FreeModuleOnSchur(kgl, 4, 2)
     s1 = M.schur_class((1,))
     assert s1 * s1 == M.element({(2,): 1, (1, 1): 1})
     assert (b * s1) * (b * s1) == M.element({(2,): b * b, (1, 1): b * b})
@@ -123,7 +123,7 @@ def test_pieri_persists_after_base_change():
 
 def test_schur_module_str():
     consts = polynomial_ring("Z", [])
-    M = grassmann_cohomology(consts, 4, 2)
+    M = FreeModuleOnSchur(consts, 4, 2)
     e = M.element({(2, 1): 3, (): 1})
     assert str(e) == "1 + (3)*D21"
     assert str(M.zero()) == "0"

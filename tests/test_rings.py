@@ -16,6 +16,7 @@ from cobalt.errors import (
 from cobalt.rings import (
     GenSpec,
     Ring,
+    degree_lattice,
     graded_component,
     laurent_ring,
     load_presentation,
@@ -206,6 +207,34 @@ def test_graded_component_truncation_flag():
     report = graded_component(ring, 5, exponent_bound=3)
     assert report.truncated
     assert "bound" in report.note
+
+
+def test_graded_component_skips_a_zero_relation():
+    ring = polynomial_ring("Z", [("x", 1), ("y", 2)])
+    ring.impose("2*x^2 - y")
+    before = graded_component(ring, 4)
+    ring.impose(ring.zero())
+    assert graded_component(ring, 4) == before
+
+
+def test_degree_lattice_without_generators_sorts_the_reached_terms():
+    ring = polynomial_ring("Z", [("t", 1), ("s", 2)])
+    t, s = ring.gen("t"), ring.gen("s")
+    elements = [(None, {None: ring.zero()}), (2, {None: t * t - s})]
+    carrier, rows, truncated = degree_lattice(ring, 3, None, elements, 3)
+    assert carrier == [(None, (1, 1)), (None, (3, 0))]
+    assert rows == [[-1, 1]]
+    assert not truncated
+
+
+def test_degree_lattice_appends_a_term_the_bound_excluded():
+    ring = polynomial_ring("Z", [("t", 1)])
+    elements = [(1, {"e": ring.gen("t")})]
+    carrier, rows, truncated = degree_lattice(ring, 2, [("e", 0)],
+                                              elements, 1)
+    assert carrier == [("e", (2,))]
+    assert rows == [[1]]
+    assert truncated
 
 
 def brute_component_rank(ring, degree, bound):
