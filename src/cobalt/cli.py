@@ -1,17 +1,17 @@
 """Command-line front end: JSON and CSV reports over the library.
 
-Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on bad usage or unreadable/invalid input.  JSON output is sorted and
-seed-deterministic; timings appear only behind --timings so reports
-stay byte-identical across runs.
+One table, COMMANDS, holds each command's handler and options; parse_args
+reads argv against it.  Exit codes: 0 when every requested check passes,
+1 when a check fails, 2 on bad usage or unreadable/invalid input.  JSON
+output is sorted and seed-deterministic; only --timings adds timings.
 """
 
-import argparse
 import csv
 import json
 import math
 import sys
 import time
+import types
 
 from . import __version__
 from . import verify as verify_mod
@@ -77,8 +77,7 @@ def _parse_window_pair(text):
     """'plo:phi,qlo:qhi' -> ((plo, phi), (qlo, qhi))."""
     first, sep, second = text.partition(",")
     if not sep:
-        raise InputError(
-            f"window {text!r} must look like plo:phi,qlo:qhi")
+        raise InputError(f"window {text!r} must look like plo:phi,qlo:qhi")
     return _parse_span(first), _parse_span(second)
 
 
@@ -115,9 +114,9 @@ def _parse_primes(text):
             p = int(piece)
         except ValueError:
             raise InputError(f"prime list entry {piece!r} is not an integer")
+        if p in out:
+            raise InputError(f"prime list entry {p} is repeated")
         out.append(_require_prime(p, "prime list entry"))
-    if not out:
-        raise InputError("the prime list is empty")
     return out
 
 
@@ -156,9 +155,8 @@ def _coefficient_value(value, ring):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError("coefficient values must be integers or "
                          "expression strings")
-    if isinstance(value, int):
-        return ring.const(value)
-    return parse_expression(value, ring)
+    return ring.const(value) if isinstance(value, int) \
+        else parse_expression(value, ring)
 
 
 def _custom_law(doc, ring):
@@ -228,9 +226,8 @@ def _load_module(doc):
 
 
 def _report(command, **fields):
-    out = {"schema": 1, "tool_version": __version__, "command": command}
-    out.update(fields)
-    return out
+    return {"schema": 1, "tool_version": __version__, "command": command,
+            **fields}
 
 
 # -- grass -------------------------------------------------------------------
@@ -239,33 +236,24 @@ def _report(command, **fields):
 def _grass_check(token, n, d):
     if token == "complex":
         rep = complex_report(n, d)
-        check = {"name": "complex", "pass": rep["ok"]}
-        if not rep["ok"]:
-            check["witness"] = sorted(
-                deg for deg, res in rep["degrees"].items()
-                if not all(res.values()))
-        return check
-    if token == "identities":
+        ok, witness = rep["ok"], sorted(
+            deg for deg, res in rep["degrees"].items()
+            if not all(res.values()))
+    elif token == "identities":
         ok, witness = determinant_identities(n, d)
-        check = {"name": "identities", "pass": ok}
-        if not ok:
-            check["witness"] = {"identity": witness[0],
-                                "partition": list(witness[1])}
-        return check
-    if token == "pairing":
+        witness = witness and {"identity": witness[0],
+                               "partition": list(witness[1])}
+    elif token == "pairing":
         ok, witness = gram_report(n, d)
-        check = {"name": "pairing", "pass": ok}
-        if not ok:
-            check["witness"] = str(witness)
-        return check
-    if token == "products":
+        witness = str(witness)
+    else:
         failures = products_report(n, d)
-        check = {"name": "products", "pass": not failures}
-        if failures:
-            a, b = failures[0]
-            check["witness"] = {"a": list(a), "b": list(b)}
-        return check
-    raise InputError(f"unknown verification {token!r}")
+        ok, witness = not failures, failures and {
+            "a": list(failures[0][0]), "b": list(failures[0][1])}
+    check = {"name": token, "pass": ok}
+    if not ok:
+        check["witness"] = witness
+    return check
 
 
 def _cmd_grass(args):
@@ -274,12 +262,11 @@ def _cmd_grass(args):
                      basis=[list(lam) for lam in G.partitions()])
     checks = []
     if args.verify:
+        tokens = [args.verify]
         if args.verify == "all":
             tokens = ["identities", "pairing", "products"]
             if args.d < args.n:
                 tokens.insert(0, "complex")
-        else:
-            tokens = [args.verify]
         checks = [_grass_check(t, args.n, args.d) for t in tokens]
         report["checks"] = checks
     return report, all(c["pass"] for c in checks)
@@ -310,8 +297,7 @@ def _cmd_fgl(args):
                      coefficients=coefficients)
     ok = True
     if args.check:
-        axioms = fgl_check_axioms(law, order=order)
-        report["axioms"] = axioms
+        report["axioms"] = axioms = fgl_check_axioms(law, order=order)
         ok = axioms["ok"]
     if args.p_series is not None:
         series = p_series(law, args.p_series, order)
@@ -342,15 +328,12 @@ def _cmd_landweber(args):
     if args.law in ("additive", "multiplicative"):
         if module_doc is not None:
             ring, module = _load_module(module_doc)
-        elif args.law == "multiplicative":
-            ring = laurent_ring("Z", "beta")
-            module = ModulePresentation.free(ring)
         else:
-            ring = polynomial_ring("Z", [])
+            ring = laurent_ring("Z", "beta") if args.law == "multiplicative" \
+                else polynomial_ring("Z", [])
             module = ModulePresentation.free(ring)
-        builder = fgl_additive if args.law == "additive" \
-            else fgl_multiplicative
-        law = builder(ring)
+        law = (fgl_additive if args.law == "additive"
+               else fgl_multiplicative)(ring)
     else:
         law_doc = _read_json(args.law)
         if module_doc is not None:
@@ -364,12 +347,11 @@ def _cmd_landweber(args):
         law = _custom_law(law_doc, ring)
 
     verdicts, exact = check_exact(module, law, primes, args.height, window)
-    report = _report("landweber", law=args.law, height=args.height,
-                     window=list(window), primes=primes,
-                     verdicts={str(p): v.to_dict()
-                               for p, v in verdicts.items()},
-                     exact=exact)
-    return report, exact
+    return _report("landweber", law=args.law, height=args.height,
+                   window=list(window), primes=primes,
+                   verdicts={str(p): v.to_dict()
+                             for p, v in verdicts.items()},
+                   exact=exact), exact
 
 
 # -- oriented ------------------------------------------------------------------
@@ -382,10 +364,8 @@ def _cmd_oriented(args):
             f"--n {args.n} is too large for --thom, which needs "
             f"R(n+1, d+1) = R({args.n + 1}, {args.d + 1}) within the size "
             f"limit {limit}; set COBALT_MAX_N to raise it")
-    if args.coeff:
-        coeff = load_presentation(_read_json(args.coeff))
-    else:
-        coeff = polynomial_ring("Z", [])
+    coeff = load_presentation(_read_json(args.coeff)) if args.coeff \
+        else polynomial_ring("Z", [])
     module = FreeModuleOnSchur(coeff, args.n, args.d)
     report = _report(
         "oriented", n=args.n, d=args.d, rank=module.rank,
@@ -398,8 +378,7 @@ def _cmd_oriented(args):
         report["thom_class"] = {f"x^{k}": str(c)
                                 for k, c in enumerate(th.vec)
                                 if not c.is_zero()}
-        section = zero_section_report(args.n, args.d)
-        report["zero_section"] = section
+        report["zero_section"] = section = zero_section_report(args.n, args.d)
         ok = section["ok"]
     return report, ok
 
@@ -432,13 +411,12 @@ def _cmd_hopf(args):
                              "or a coefficient table")
         result = induced_hopf(ring, law, args.N)
         collapse = result.collapse_identifies_units()
-        report = _report("hopf", N=args.N, induced=result.to_dict(),
-                         collapse_identifies_units=collapse)
-        return report, collapse
+        return _report("hopf", N=args.N, induced=result.to_dict(),
+                       collapse_identifies_units=collapse), collapse
 
     H = mumu_rational_truncated(args.N)
     axioms = verify_hopf_axioms(H)
-    report = _report(
+    return _report(
         "hopf", N=args.N,
         algebra_generators=H.a_generators(),
         gamma_generators=H.gamma_generators(),
@@ -446,8 +424,7 @@ def _cmd_hopf(args):
         counit={k: str(v) for k, v in sorted(H.counit.items())},
         comult={k: str(v) for k, v in sorted(H.comult.items())},
         conjugation={k: str(v) for k, v in sorted(H.conjugation.items())},
-        axioms=axioms.to_dict())
-    return report, axioms.ok
+        axioms=axioms.to_dict()), axioms.ok
 
 
 # -- cobordism -------------------------------------------------------------------
@@ -489,25 +466,18 @@ def _emit_cobordism_csv(report, stream):
 def _cmd_verify_all(args):
     start = time.monotonic()
     checks = []
-    timings = []
     for fn in verify_mod.ALL_CHECKS:
         t = time.monotonic()
-        if fn is verify_mod.check_landweber_suite:
-            result = fn(seed=args.seed)
-        else:
-            result = fn()
-        timings.append(int((time.monotonic() - t) * 1000))
+        result = fn(seed=args.seed) \
+            if fn is verify_mod.check_landweber_suite else fn()
+        if args.timings:
+            result["timing_ms"] = int((time.monotonic() - t) * 1000)
         checks.append(result)
     elapsed = time.monotonic() - start
     within_budget = elapsed <= args.budget
     ok = all(c["pass"] for c in checks) and within_budget
-    if args.timings:
-        for check, ms in zip(checks, timings):
-            check["timing_ms"] = ms
-    report = _report("verify-all", seed=args.seed,
-                     budget_seconds=args.budget,
-                     within_budget=within_budget,
-                     checks=checks)
+    report = _report("verify-all", seed=args.seed, budget_seconds=args.budget,
+                     within_budget=within_budget, checks=checks)
     report["pass"] = ok
     if args.timings:
         report["timing_ms"] = int(elapsed * 1000)
@@ -517,98 +487,128 @@ def _cmd_verify_all(args):
 # -- driver -----------------------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cobalt",
-        description="Exact Schur calculus, formal group laws, and "
-                    "Landweber regularity reports.")
-    parser.add_argument("--version", action="version",
-                        version=f"cobalt {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("grass",
-                       help="Schur basis and checks for one (n, d)")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--verify",
-                   choices=["all", "complex", "identities", "pairing",
-                            "products"])
-
-    f = sub.add_parser("fgl", help="formal group law coefficient tables")
-    f.add_argument("--law", required=True,
-                   choices=["additive", "multiplicative", "universal-q"])
-    f.add_argument("--N", type=int, default=8,
-                   help="truncation order (default 8)")
-    f.add_argument("--check", action="store_true",
-                   help="verify the group-law axioms")
-    f.add_argument("--p-series", type=int, metavar="P", dest="p_series")
-    f.add_argument("--landweber", nargs=2, type=int, metavar=("P", "H"),
-                   help="emit the sequence p, v_1, .., v_H")
-
-    l = sub.add_parser("landweber", help="regular-sequence verdicts")
-    l.add_argument("--module", metavar="FILE",
-                   help="module presentation (default: free of rank one)")
-    l.add_argument("--law", default="multiplicative",
-                   help="additive, multiplicative, or a JSON law file")
-    l.add_argument("--primes", default="2,3,5")
-    l.add_argument("--height", type=int, default=3)
-    l.add_argument("--window", default="-10:10", metavar="LO:HI")
-
-    o = sub.add_parser("oriented",
-                       help="Schur-class modules with general coefficients")
-    o.add_argument("--coeff", metavar="FILE",
-                   help="coefficient ring presentation (default: Z)")
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--d", type=int, required=True)
-    o.add_argument("--thom", action="store_true",
-                   help="include the Thom class and zero-section checks")
-
-    h = sub.add_parser("hopf", help="Hopf algebroid reports")
-    h.add_argument("--N", type=int, required=True,
-                   help="truncation order")
-    h.add_argument("--induced", metavar="FILE",
-                   help="build the induced algebroid of a law file")
-
-    c = sub.add_parser("cobordism", help="rational dimension tables")
-    c.add_argument("--field", required=True,
-                   help="Q, F<q>, or number:r1,r2")
-    c.add_argument("--window", default="-10:10,-5:5",
-                   metavar="PLO:PHI,QLO:QHI")
-    c.add_argument("--verify", action="store_true",
-                   help="check the table against the closed form")
-    c.add_argument("--format", choices=["json", "csv"], default="json")
-
-    v = sub.add_parser("verify-all", help="run the whole check suite")
-    v.add_argument("--seed", type=int, default=0,
-                   help="seed for the perturbation checks (default 0)")
-    v.add_argument("--budget", type=float, default=300.0,
-                   help="wall-clock limit in seconds (default 300)")
-    v.add_argument("--timings", action="store_true",
-                   help="include timing fields (breaks byte-identity)")
-    return parser
+def _seconds(text):
+    """A budget: a finite number of seconds above zero."""
+    if not 0 < float(text) < math.inf:
+        raise ValueError(text)
+    return float(text)
 
 
-_HANDLERS = {
-    "grass": _cmd_grass,
-    "fgl": _cmd_fgl,
-    "landweber": _cmd_landweber,
-    "oriented": _cmd_oriented,
-    "hopf": _cmd_hopf,
-    "cobordism": _cmd_cobordism,
-    "verify-all": _cmd_verify_all,
+REQUIRED = "required"
+
+# Per command: handler, help and options.  An option's key is its name and a
+# metavar per value it takes; its entry is the kind reading each value (a
+# tuple of accepted words, bool for a flag) and its default or REQUIRED.
+COMMANDS = {
+    "grass": (_cmd_grass, "Schur basis and checks for one (n, d)", {
+        "--n N": (int, REQUIRED), "--d D": (int, REQUIRED),
+        "--verify": (("all", "complex", "identities", "pairing", "products"),
+                     None)}),
+    "fgl": (_cmd_fgl, "formal group law coefficient tables", {
+        "--law": (("additive", "multiplicative", "universal-q"), REQUIRED),
+        "--N N": (int, 8), "--check": (bool, False),
+        "--p-series P": (int, None), "--landweber P H": (int, None)}),
+    "landweber": (_cmd_landweber, "regular-sequence verdicts", {
+        "--module FILE": (str, None), "--law LAW": (str, "multiplicative"),
+        "--primes P,..": (str, "2,3,5"), "--height H": (int, 3),
+        "--window LO:HI": (str, "-10:10")}),
+    "oriented": (_cmd_oriented, "Schur-class modules with any coefficients", {
+        "--coeff FILE": (str, None), "--n N": (int, REQUIRED),
+        "--d D": (int, REQUIRED), "--thom": (bool, False)}),
+    "hopf": (_cmd_hopf, "Hopf algebroid reports", {
+        "--N N": (int, REQUIRED), "--induced FILE": (str, None)}),
+    "cobordism": (_cmd_cobordism, "rational dimension tables", {
+        "--field FIELD": (str, REQUIRED),
+        "--window PLO:PHI,QLO:QHI": (str, "-10:10,-5:5"),
+        "--verify": (bool, False), "--format": (("json", "csv"), "json")}),
+    "verify-all": (_cmd_verify_all, "run the whole check suite", {
+        "--seed SEED": (int, 0), "--budget SECONDS": (_seconds, 300.0),
+        "--timings": (bool, False)}),
 }
 
 
+def _fail(usage, message):
+    sys.stderr.write(f"{usage}\ncobalt: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _match(usage, token, names):
+    """The option a token names (or None) and the value after its '='."""
+    name, eq, value = token.partition("=")
+    hits = [n for n in names if n == name] or \
+        [n for n in names if n.startswith(name)]
+    if len(hits) > 1:
+        _fail(usage, f"{token!r} names {' or '.join(hits)}")
+    return (hits or [None])[0], (value if eq else None)
+
+
+def parse_args(argv):
+    """The command and its option values, read from argv against COMMANDS.
+
+    Options are `--opt value` or `--opt=value`, named in full or by a
+    unique prefix; the last of a repeated option wins.  The tokens after
+    an option that takes values are its values, even when they start with
+    "-".  Bad usage prints `cobalt: error: ...` and raises SystemExit(2).
+    """
+    usage = f"usage: cobalt [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    argv, unknown = list(argv), []
+    while argv and argv[0] not in COMMANDS:
+        name, _ = _match(usage, token := argv.pop(0),
+                         ["-h", "--help", "--version"])
+        if name is None:
+            unknown.append(token)
+            continue
+        print(f"cobalt {__version__}" if name == "--version" else "\n".join(
+            [usage, "", "Exact Schur calculus, formal group laws, and "
+             "Landweber regularity reports.", ""] +
+            [f"  {c:<12}{about}" for c, (_, about, _) in COMMANDS.items()]))
+        raise SystemExit(0)
+    if not argv:
+        _fail(usage, f"choose a command, not {unknown}")
+    command = argv.pop(0)
+    _, about, table = COMMANDS[command]
+    options, values, shown, rows = {}, {}, [], []
+    for key, (kind, default) in table.items():
+        name = key.split()[0]
+        if isinstance(kind, tuple):
+            key = f"{name} {{{','.join(kind)}}}"
+            kind = {word: word for word in kind}.__getitem__
+        options[name], values[name] = (key.count(" "), kind), default
+        shown.append(key if default is REQUIRED else f"[{key}]")
+        rows.append(f"  {shown[-1]}" if default in (None, REQUIRED) or
+                    kind is bool else f"  {shown[-1]:<30}(default {default})")
+    usage = " ".join([f"usage: cobalt {command} [-h]", *shown])
+    while argv:
+        name, value = _match(usage, token := argv.pop(0),
+                             [*options, "-h", "--help"])
+        if name is None:
+            unknown.append(token)
+            continue
+        if name in ("-h", "--help"):
+            print("\n".join([usage, "", about, ""] + rows))
+            raise SystemExit(0)
+        arity, read = options[name]
+        tokens = argv[:arity] if value is None else [value]
+        del argv[:len(tokens) if value is None else 0]
+        try:
+            given = [read(token) for token in tokens]
+        except (KeyError, ValueError):
+            given = []
+        if len(given) != arity:
+            _fail(usage, f"{name} takes {arity} valid value(s), not {tokens}")
+        values[name] = given[0] if arity == 1 else given if arity else True
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing or unknown:
+        _fail(usage, f"missing {', '.join(missing)}" if missing else
+              f"unrecognized arguments: {' '.join(unknown)}")
+    return types.SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): value for name, value in values.items()})
+
+
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i, token in enumerate(argv[:-1]):
-        # windows often start with "-"; join so argparse keeps the value
-        if token == "--window":
-            argv[i:i + 2] = [f"--window={argv[i + 1]}"]
-            break
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        report, ok = _HANDLERS[args.command](args)
+        report, ok = COMMANDS[args.command][0](args)
     except CobaltError as exc:
         print(f"cobalt: error: {exc}", file=sys.stderr)
         return 2

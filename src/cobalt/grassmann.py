@@ -12,7 +12,8 @@ one-row class Delta_(i), so multiplying by it adds a horizontal i-strip
 to every shape, and shapes that leave the d x r box vanish (Fulton,
 Young Tableaux, CUP 1997, section 9.4).  Each monomial is reduced by
 growing the empty shape one generator at a time; no linear algebra is
-involved.
+involved.  A product Delta_a * Delta_b starts the same walk at shape a
+and runs it over the monomials of Delta_b.
 """
 
 import os
@@ -168,19 +169,20 @@ class GrassRing:
             for prefix, added in grown if added == k)
         return cached
 
-    def reduce(self, poly):
-        """Schur coordinates of a polynomial representative.
+    def reduce(self, poly, start=()):
+        """Schur coordinates of Delta_start times a polynomial representative.
 
         Returns {partition: int} with zero coefficients omitted, ordered
         by degree and then as in `partitions(degree)`.  Any polynomial
-        in Z[x1..xr] is accepted: each monomial starts at the empty
-        shape and gains one horizontal i-strip per factor x_i.
+        in Z[x1..xr] is accepted: each monomial starts at the shape
+        `start` (empty by default) and gains one horizontal i-strip per
+        factor x_i.
         """
         if poly.ring is not self.ring:
             raise InputError("polynomial is not over this ring's presentation")
         totals = {}
         for exps, c in poly.terms.items():
-            shapes = {(): c}
+            shapes = {start: c}
             for i, e in enumerate(exps, 1):
                 for _ in range(e):
                     step = {}
@@ -200,8 +202,12 @@ class GrassRing:
     # -- products and the pairing ---------------------------------------------
 
     def multiply(self, a, b):
-        """Structure constants: Delta_a * Delta_b = sum c^lam Delta_lam."""
-        return self.reduce(self.schur(a) * self.schur(b))
+        """Structure constants: Delta_a * Delta_b = sum c^lam Delta_lam.
+
+        The Pieri chain starts at shape a and runs over the monomials of
+        Delta_b alone, so the product Delta_a * Delta_b is never expanded.
+        """
+        return self.reduce(self.schur(b), self.check_partition(a))
 
     def pairing(self, a, b):
         """Coefficient of the box-filling class in Delta_a * Delta_b."""

@@ -1,9 +1,20 @@
 """End-to-end CLI behavior: reports, determinism, and exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import argparse_oracle
+from cobalt import cli
 from cobalt.cli import main
 
 
@@ -466,3 +477,219 @@ def test_exact_must_be_a_boolean(capsys, tmp_path):
         "coefficients": [{"i": 1, "j": 1, "value": "-beta"}]}))
     _refused(capsys, ["landweber", "--law", str(path), "--primes", "2",
                       "--height", "2", "--window", "0:4"], "'exact'")
+
+
+# -- the option table against the old argparse front end ------------------
+
+
+ORACLE_OPTIONS = {
+    "grass": ["--n", "--d", "--verify"],
+    "fgl": ["--law", "--N", "--check", "--p-series", "--landweber"],
+    "landweber": ["--module", "--law", "--primes", "--height", "--window"],
+    "oriented": ["--coeff", "--n", "--d", "--thom"],
+    "hopf": ["--N", "--induced"],
+    "cobordism": ["--field", "--window", "--verify", "--format"],
+    "verify-all": ["--seed", "--budget", "--timings"],
+}
+FLAGS = {"--check", "--thom", "--timings", ("cobordism", "--verify")}
+REQUIRED_VALUES = {"grass": ["--n", "4", "--d", "2"],
+                   "fgl": ["--law", "additive"],
+                   "oriented": ["--n", "3", "--d", "1"],
+                   "hopf": ["--N", "3"], "cobordism": ["--field", "Q"]}
+VALUES = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.sampled_from([
+        "0.5", "-1.5", "1e3", "300", "inf", "nan", "-inf", ".5", "-.5",
+        "1_0", " 7 ", "all", "complex", "identities", "pairing",
+        "products", "additive", "multiplicative", "universal-q", "json",
+        "csv", "Q", "F7", "-3:3", "0:4", "5:1", "-10:10,-5:5",
+        "-4:0,-2:0", "2,3", "2,2", "", "x", "-x", "-", "--", "--n",
+        "--check", "--law", "a b", "-1 2", "-1e5", "-h"]))
+# argparse reads a token as an option when it starts with "-", is longer
+# than "-", holds no space and is not a negative number
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _argparse_reads_as_option(token):
+    return (token.startswith("-") and len(token) > 1 and " " not in token
+            and not _NEGATIVE_NUMBER.fullmatch(token))
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1", "-inf",
+                                    "1e400", "ten"])
+def test_verify_all_refuses_a_budget_that_is_not_finite_and_positive(
+        capsys, monkeypatch, budget):
+    def no_check_may_run(**_):
+        raise AssertionError("a check ran before the budget was checked")
+
+    monkeypatch.setattr("cobalt.verify.ALL_CHECKS", [no_check_may_run])
+    with pytest.raises(SystemExit) as err:
+        main(["verify-all", "--budget", budget])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert "--budget" in captured.err
+
+
+@pytest.mark.parametrize("primes", ["2,2", "3,2,3", "2, 2", "5,05"])
+def test_landweber_refuses_a_repeated_prime(capsys, primes):
+    code = main(["landweber", "--primes", primes, "--height", "1",
+                 "--window", "-1:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    repeated = primes.split(",")[-1].strip().lstrip("0")
+    assert f"prime list entry {repeated} is repeated" in captured.err
+
+
+def test_landweber_keeps_the_given_prime_order(capsys):
+    code, report = run_json(capsys, "landweber", "--primes", "3,2",
+                            "--height", "1", "--window", "-1:1")
+    assert code == 0
+    assert report["primes"] == [3, 2]
+    assert sorted(report["verdicts"]) == ["2", "3"]
+
+
+def test_version_and_help_exit_zero(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == f"cobalt {cli.__version__}\n"
+    with pytest.raises(SystemExit) as err:
+        main(["--ver"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("cobalt ")
+    for flag in ("--help", "-h", "--he"):
+        with pytest.raises(SystemExit) as err:
+            main([flag])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_OPTIONS))
+def test_command_help_names_every_option(capsys, command):
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as err:
+            main([command, flag])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: cobalt {command} ")
+        for option in ORACLE_OPTIONS[command]:
+            assert re.search(rf"{option}[ \]]", out), (command, option)
+
+
+def test_the_table_holds_the_options_of_the_old_parser():
+    assert {command: sorted(key.split()[0] for key in table)
+            for command, (_, _, table) in cli.COMMANDS.items()} == \
+        {command: sorted(options)
+         for command, options in ORACLE_OPTIONS.items()}
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cobalt.cli; print('argparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_usage_errors_name_the_problem(capsys):
+    for argv, words in [
+            (["fgl", "--l", "additive"], ["--law or --landweber"]),
+            (["grass", "--n", "4", "--d", "2", "--bogus"], ["--bogus"]),
+            (["grass", "--n", "4"], ["missing --d"]),
+            (["grass", "--n", "four", "--d", "2"], ["--n", "four"]),
+            (["fgl", "--law=additive", "--landweber=2", "1"],
+             ["--landweber takes 2"]),
+            (["fgl", "--law", "additive", "--check=yes"], ["--check"]),
+            (["grass", "--n", "4", "--d", "2", "--verify", "most"],
+             ["--verify", "most"]),
+            ([], ["choose a command"]),
+            (["no-such-command"], ["no-such-command"])]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2, argv
+        assert captured.out == ""
+        assert "cobalt: error: " in captured.err
+        assert all(word in captured.err for word in words), (argv,
+                                                            captured.err)
+
+
+def test_value_may_start_with_a_dash_after_any_spelling(capsys):
+    for spelling in (["--window", "-3:3"], ["--win", "-3:3"],
+                     ["--window=-3:3"], ["--window", "0:1", "--wi", "-3:3"]):
+        code, report = run_json(capsys, "landweber", "--primes", "2",
+                                "--height", "1", *spelling)
+        assert code == 0
+        assert report["window"] == [-3, 3]
+
+
+@st.composite
+def argvs(draw):
+    """An argv for one command, the indices of its separate values, and
+    the values it gives --budget."""
+    command = draw(st.sampled_from(sorted(ORACLE_OPTIONS)))
+    argv = [command]
+    if draw(st.booleans()):
+        argv += REQUIRED_VALUES.get(command, [])
+    values, budgets = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        option = draw(st.sampled_from(ORACLE_OPTIONS[command] + ["--bogus"]))
+        arity = 0 if option in FLAGS or (command, option) in FLAGS else \
+            2 if option == "--landweber" else 1
+        given = [draw(VALUES) for _ in range(arity)]
+        if option == "--budget":
+            budgets += given
+        spelling = draw(st.sampled_from(["full", "prefix", "equals"]))
+        if spelling == "prefix" and option != "--bogus":
+            option = option[:draw(st.integers(3, len(option)))]
+        if spelling == "equals" and draw(st.booleans()):
+            argv.append(f"{option}={given[0] if given else 'x'}")
+            continue
+        values += range(len(argv) + 1, len(argv) + 1 + len(given))
+        argv += [option, *given]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(VALUES))
+    return argv, values, budgets
+
+
+def _outcome(parse, argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=600, deadline=None)
+@given(argvs())
+def test_parse_args_matches_the_argparse_oracle(drawn):
+    argv, values, budgets = drawn
+    old = _outcome(argparse_oracle.parse_args, argv)
+    new = _outcome(cli.parse_args, argv)
+    if old == new:
+        return
+    if isinstance(old, dict) and old["command"] == "verify-all":
+        # the table refuses a budget that is not a finite number > 0,
+        # also one that a later --budget overrides
+        assert new == 2, (argv, old)
+        assert any(not 0 < float(b) < math.inf for b in budgets), argv
+        return
+    # argparse takes a "--" anywhere for its end-of-options marker and
+    # drops it, even from --opt=--
+    if any(token == "--" or token.endswith("=--") for token in argv):
+        return
+    # argparse refuses a value that starts with "-" as an option, unless
+    # the old --window join rescued it; the table takes it (and goes on to
+    # accept, or to print a later -h's help)
+    joined = argparse_oracle.join_window(argv) != argv
+    rescued = argv.index("--window") + 1 if joined else None
+    assert old == 2, (argv, old, new)
+    assert any(_argparse_reads_as_option(argv[i])
+               for i in values if i != rescued), (argv, new)

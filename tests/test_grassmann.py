@@ -121,6 +121,25 @@ def test_reduce_matches_lattice_oracle():
                             (n, d, m, rel)
 
 
+def test_multiply_matches_the_reduced_determinant_product():
+    # multiply starts the Pieri chain at shape a; the old route reduces
+    # the whole product Delta_a * Delta_b from the empty shape, and both
+    # give the same dict, order included
+    for n in range(7):
+        for d in range(n + 1):
+            G = grassmannian(n, d)
+            parts = G.partitions()
+            for a in parts:
+                for b in parts:
+                    old = G.reduce(G.schur(a) * G.schur(b))
+                    assert list(G.multiply(a, b).items()) == \
+                        list(old.items()), (n, d, a, b)
+    G = grassmannian(4, 2)
+    assert G.multiply((1, 0), (1,)) == G.multiply((1,), (1,))
+    with pytest.raises(PartitionOutOfBox):
+        G.multiply((3,), (1,))
+
+
 def test_products_report(monkeypatch):
     assert products_report(4, 2) == []
     assert products_report(3, 3) == []
