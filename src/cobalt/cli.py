@@ -487,10 +487,15 @@ def _cmd_verify_all(args):
 # -- driver -----------------------------------------------------------------------
 
 
+class _Late(ValueError):
+    """A number refused once the whole command line is read, so that a
+    later -h still prints help, as argparse does."""
+
+
 def _seconds(text):
     """A budget: a finite number of seconds above zero."""
     if not 0 < float(text) < math.inf:
-        raise ValueError(text)
+        raise _Late(text)
     return float(text)
 
 
@@ -567,7 +572,7 @@ def parse_args(argv):
         _fail(usage, f"choose a command, not {unknown}")
     command = argv.pop(0)
     _, about, table = COMMANDS[command]
-    options, values, shown, rows = {}, {}, [], []
+    options, values, shown, rows, late = {}, {}, [], [], []
     for key, (kind, default) in table.items():
         name = key.split()[0]
         if isinstance(kind, tuple):
@@ -590,13 +595,19 @@ def parse_args(argv):
         arity, read = options[name]
         tokens = argv[:arity] if value is None else [value]
         del argv[:len(tokens) if value is None else 0]
+        refusal = f"{name} takes {arity} valid value(s), not {tokens}"
         try:
             given = [read(token) for token in tokens]
+        except _Late:
+            late.append(refusal)
+            continue
         except (KeyError, ValueError):
             given = []
         if len(given) != arity:
-            _fail(usage, f"{name} takes {arity} valid value(s), not {tokens}")
+            _fail(usage, refusal)
         values[name] = given[0] if arity == 1 else given if arity else True
+    if late:
+        _fail(usage, late[0])
     missing = [name for name, value in values.items() if value is REQUIRED]
     if missing or unknown:
         _fail(usage, f"missing {', '.join(missing)}" if missing else

@@ -141,9 +141,13 @@ class GrassRing:
 
     def schur(self, partition):
         """Determinantal representative of Delta_partition in Z[x1..xr]."""
-        a = self.check_partition(partition)
+        return self._schur(self.check_partition(partition))[0]
+
+    def _schur(self, a):
+        """Delta_a and its terms by exponent tuple, kept per ring."""
         if a not in self._schur_cache:
-            self._schur_cache[a] = schur_polynomial(self.ring, a, self.d)
+            poly = schur_polynomial(self.ring, a, self.d)
+            self._schur_cache[a] = poly, poly.exponent_terms()
         return self._schur_cache[a]
 
     def _pieri(self, shape, k):
@@ -180,8 +184,11 @@ class GrassRing:
         """
         if poly.ring is not self.ring:
             raise InputError("polynomial is not over this ring's presentation")
+        return self._reduce(poly.exponent_terms(), start)
+
+    def _reduce(self, terms, start):
         totals = {}
-        for exps, c in poly.terms.items():
+        for exps, c in terms.items():
             shapes = {start: c}
             for i, e in enumerate(exps, 1):
                 for _ in range(e):
@@ -207,7 +214,8 @@ class GrassRing:
         The Pieri chain starts at shape a and runs over the monomials of
         Delta_b alone, so the product Delta_a * Delta_b is never expanded.
         """
-        return self.reduce(self.schur(b), self.check_partition(a))
+        return self._reduce(self._schur(self.check_partition(b))[1],
+                            self.check_partition(a))
 
     def pairing(self, a, b):
         """Coefficient of the box-filling class in Delta_a * Delta_b."""

@@ -302,13 +302,7 @@ def verify_hopf_axioms(H, N=None):
 
 def _user_specs(ring):
     """The explicitly declared generators, minus implicit inverses."""
-    out = []
-    for i, spec in enumerate(ring.gens):
-        partner = ring.inverse_partner.get(i)
-        if partner is not None and partner < i:
-            continue  # implicit inverse, recreated by the new ring
-        out.append(spec)
-    return out
+    return ring.gens[:len(ring.fields)]
 
 
 def _transport_law(law, target, images, order):
@@ -354,9 +348,10 @@ class InducedHopf:
                 else abs(degree) + 2
             carrier, columns, _ = degree_lattice(
                 self.ring, degree, None, ideal, bound)
-            if not {m for _, m in carrier}.issuperset(delta.terms):
+            terms = delta.exponent_terms()
+            if not {m for _, m in carrier}.issuperset(terms):
                 return False
-            target = [delta.terms.get(m, 0) for _, m in carrier]
+            target = [terms.get(m, 0) for _, m in carrier]
             if not snf.rational_in_span(columns, target):
                 return False
         return True

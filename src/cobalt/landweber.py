@@ -172,6 +172,8 @@ class _Analyzer:
             return True, None
         shift = v.adams_degree()
         _, tgt_lat = self.lattice(degree + shift, self._stage)
+        if self.rational and v == v.constant_term():
+            return True, None       # a nonzero constant is a unit over Q
         _, columns = self.present(degree + shift, self.times_generators([v]))
         # over Z on every base; its Q or Z_(p) span is the preimage there
         preimage = snf.preimage_lattice([list(r) for r in zip(*columns)],

@@ -3,13 +3,19 @@
 A Ring is a presentation: a base (Z or Q), a list of generators with
 integer Adams degrees, and a list of homogeneous relation polynomials.
 Generators marked invertible get an explicit paired inverse generator
-(negated degree) and the relation g * g_inv = 1 is enforced eagerly in
-the monomial normal form, so all rewriting stays polynomial.
+`g_inv` (negated degree).
 
-Monomials are dense exponent tuples indexed by generator position;
-polynomials are dicts from exponent tuple to coefficient.  Everything is
-immutable in spirit: operations build new values, and a ring is frozen
-once its relations are imposed.
+A polynomial maps packed monomial keys to coefficients: one int per
+monomial, one field of the ring's current width per declared generator,
+generator 0 in the top field.  An invertible generator and its inverse
+share one signed field, so the key of a product is ka + kb - offset and
+g * g_inv cancels in the addition.  Exponent tuples, indexed by
+generator position and in normal form, appear only at the boundary: the
+constructor, `exponent_terms`, printing, monomial enumeration and the
+carriers of `degree_lattice`.  The README's design note covers widths,
+widening and the signed fields.  Everything is immutable in spirit:
+operations build new values, and a ring is frozen once its relations
+are imposed.
 
 Coefficients have one canonical form over either base: an `int` when
 the value is integral and a `Fraction` only when it is not, so integral
@@ -17,9 +23,9 @@ arithmetic over Q runs on plain ints.  No zero coefficient is ever
 stored.
 
 >>> Q = polynomial_ring("Q", [])
->>> Q.const(Fraction(4, 2)).terms
+>>> Q.const(Fraction(4, 2)).exponent_terms()
 {(): 2}
->>> Q.const(Fraction(1, 2)).terms
+>>> Q.const(Fraction(1, 2)).exponent_terms()
 {(): Fraction(1, 2)}
 
 Graded pieces are analyzed degreewise without Groebner bases.
@@ -34,7 +40,8 @@ made, and when it is off the invariants are exact.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import or_
 
 from .errors import (
     ExpressionSyntaxError,
@@ -53,6 +60,59 @@ class GenSpec:
     invertible: bool = False
 
 
+class _Packing:
+    """One layout of a ring's keys: a field of `width` bits per declared
+    generator.  `layout` holds per field the generator index i, the index
+    j of its inverse or None, the shift, the bias (2^(w-1) for a signed
+    field, else 0) and the degree of g_i; `offset` is the key of 1.
+
+    A stored key keeps every |exponent| below 2^(w-2), so the sum of two
+    still fits its field.  `less_quarter(k)` moves each signed field of
+    k down by 2^(w-2), and a key is stored exactly when the result has
+    no bit of `guard` set: the top two bits of a plain field, the top
+    bit of a signed one (a signed field below range borrows and sets
+    its top bit)."""
+
+    __slots__ = ("width", "mask", "layout", "offset", "less_quarter",
+                 "guard", "ngens", "gen_keys")
+
+    def __init__(self, ring, width):
+        self.width, self.ngens = width, len(ring.gens)
+        self.mask = (1 << width) - 1
+        n = len(ring.fields)
+        self.layout = [(i, j, (n - 1 - f) * width,
+                        0 if j is None else 1 << (width - 1),
+                        ring.gens[i].adams_degree)
+                       for f, (i, j) in enumerate(ring.fields)]
+        self.offset = sum(bias << shift for _, _, shift, bias, _ in self.layout)
+        self.less_quarter = (-(self.offset >> 1)).__add__
+        self.guard = sum((3 if j is None else 2) << (shift + width - 2)
+                         for _, j, shift, _, _ in self.layout)
+        self.gen_keys = [self.key([int(g == i) for g in range(self.ngens)])
+                         for i in range(self.ngens)]
+
+    def key(self, exps):
+        """The key of an exponent tuple whose fields fit the width."""
+        return self.offset + sum(
+            (exps[i] - (exps[j] if j is not None else 0)) << shift
+            for i, j, shift, _, _ in self.layout)
+
+    def exponents(self, key):
+        """The normal-form exponent tuple of a key."""
+        exps = [0] * self.ngens
+        for i, j, shift, bias, _ in self.layout:
+            e = (key >> shift & self.mask) - bias
+            if e >= 0:
+                exps[i] = e
+            else:
+                exps[j] = -e
+        return tuple(exps)
+
+    def degree(self, key):
+        return sum(((key >> shift & self.mask) - bias) * d
+                   for _, _, shift, bias, d in self.layout)
+
+
 class Ring:
     """A finitely presented commutative ring, graded by Adams degree."""
 
@@ -61,7 +121,6 @@ class Ring:
             raise InputError(f"base must be 'Z' or 'Q', got {base!r}")
         self.base = base
         self.gens = []
-        self.inverse_partner = {}
         self.localized_at = localized_at
         seen = set()
         for spec in gens:
@@ -71,8 +130,11 @@ class Ring:
                 raise InputError(f"duplicate generator name {spec.name!r}")
             seen.add(spec.name)
             self.gens.append(spec)
+        # one field per declared generator: (i, index of g_i's inverse)
+        self.fields = []
         expanded = []
-        for spec in list(self.gens):
+        for i, spec in enumerate(self.gens):
+            j = None
             if spec.invertible:
                 inv_name = spec.name + "_inv"
                 if inv_name in seen:
@@ -80,17 +142,28 @@ class Ring:
                         f"generator name {inv_name!r} collides with the "
                         f"implicit inverse of {spec.name!r}")
                 seen.add(inv_name)
+                j = len(self.gens) + len(expanded)
                 expanded.append(GenSpec(inv_name, -spec.adams_degree))
-        base_count = len(self.gens)
+            self.fields.append((i, j))
         self.gens.extend(expanded)
-        inv_index = base_count
-        for i, spec in enumerate(self.gens[:base_count]):
-            if spec.invertible:
-                self.inverse_partner[i] = inv_index
-                self.inverse_partner[inv_index] = i
-                inv_index += 1
         self.index = {g.name: i for i, g in enumerate(self.gens)}
         self.relations = []
+        self.pack = _Packing(self, 16)      # widened as exponents grow
+
+    # -- packing ------------------------------------------------------------
+
+    def align(self, *polys):
+        """Repack each of `polys` still on an older packing."""
+        for p in polys:
+            if p.pack is not self.pack:
+                p.terms = {self.pack.key(p.pack.exponents(k)): c
+                           for k, c in p.terms.items()}
+                p.pack = self.pack
+
+    def widen(self, width):
+        """Move to a packing of `width` bits, unless one is as wide."""
+        if width > self.pack.width:
+            self.pack = _Packing(self, width)
 
     # -- construction -----------------------------------------------------
 
@@ -111,13 +184,14 @@ class Ring:
         return Polynomial(self, terms)
 
     def zero(self):
-        return Polynomial(self, {})
+        return Polynomial._raw(self, {}, self.pack)
 
     def one(self):
         return self.const(1)
 
     def const(self, c):
-        return Polynomial(self, {(0,) * len(self.gens): c})
+        return Polynomial._raw(self, {self.pack.offset: self.coerce(c)},
+                               self.pack)
 
     def gen(self, name):
         if isinstance(name, int):
@@ -126,9 +200,7 @@ class Ring:
             if name not in self.index:
                 raise InputError(f"no generator named {name!r}")
             i = self.index[name]
-        exps = [0] * len(self.gens)
-        exps[i] = 1
-        return Polynomial(self, {tuple(exps): 1})
+        return Polynomial._raw(self, {self.pack.gen_keys[i]: 1}, self.pack)
 
     def impose(self, *relations):
         """Add relations (polynomials or expression strings); homogeneous only."""
@@ -138,7 +210,7 @@ class Ring:
             if rel.ring is not self:
                 raise InputError("relation belongs to a different ring")
             deg = None
-            for exps, _ in rel.terms.items():
+            for exps in rel.exponent_terms():
                 d = self.monomial_degree(exps)
                 if deg is None:
                     deg = d
@@ -154,33 +226,21 @@ class Ring:
     def monomial_degree(self, exps):
         return sum(e * g.adams_degree for e, g in zip(exps, self.gens))
 
-    def normalize_monomial(self, exps):
-        """Cancel g * g_inv pairs; returns a tuple in normal form."""
-        if not self.inverse_partner:
-            return tuple(exps)
-        out = list(exps)
-        for i, j in self.inverse_partner.items():
-            if i < j and out[i] > 0 and out[j] > 0:
-                m = min(out[i], out[j])
-                out[i] -= m
-                out[j] -= m
-        return tuple(out)
-
     def add_product(self, out, a, b):
         """Add the product of the term dicts `a` and `b` into `out`.
 
-        The one multiplication kernel: `out` maps exponent tuples to
-        coefficients and may hold zeros, which `Polynomial._raw` drops
-        when the caller builds its result.
+        The one multiplication kernel: a product key is ka + kb minus
+        the key of 1, exact for stored keys of the current packing.
+        `out` maps keys to coefficients and may hold zeros, which
+        `Polynomial._product` drops when the caller builds its result.
         """
-        normalize = self.normalize_monomial if self.inverse_partner else None
+        offset = self.pack.offset
         get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exps = tuple(map(add, ea, eb))
-                if normalize:
-                    exps = normalize(exps)
-                out[exps] = get(exps, 0) + ca * cb
+        for ka, ca in a.items():
+            ka -= offset
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
 
     def monomials_of_degree(self, degree, bound):
         """Normal-form monomials of one Adams degree, exponents <= bound.
@@ -211,13 +271,8 @@ class Ring:
         degs = [g.adams_degree for g in self.gens]
         # slots: a plain generator, or an invertible pair as one signed
         # exponent in -bound..bound
-        slots = []
-        for i in range(n):
-            j = self.inverse_partner.get(i)
-            if j is None:
-                slots.append((i, None, degs[i], 0))
-            elif j > i:
-                slots.append((i, j, degs[i], -bound))
+        slots = [(i, j, degs[i], 0 if j is None else -bound)
+                 for i, j in self.fields]
         k = len(slots)
         lo = [0] * (k + 1)
         hi = [0] * (k + 1)
@@ -299,35 +354,52 @@ class Ring:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "pack")
 
     def __init__(self, ring, terms):
-        self.ring = ring
-        clean = {}
-        for exps, c in terms.items():
-            c = ring.coerce(c)
-            if c:
-                exps = tuple(exps)
-                if len(exps) != len(ring.gens):
-                    raise InputError("monomial width does not match ring")
-                clean[exps] = c
-        self.terms = clean
+        """From a dict of exponent tuples; a g, g_inv pair cancels."""
+        rows = {tuple(exps): ring.coerce(c) for exps, c in terms.items()}
+        rows = {exps: c for exps, c in rows.items() if c}
+        if any(len(exps) != len(ring.gens) or min(exps, default=0) < 0
+               for exps in rows):
+            raise InputError("a monomial needs one exponent >= 0 per "
+                             "generator of the ring")
+        top = max([0] + [max(exps, default=0) for exps in rows])
+        while top >> (ring.pack.width - 2):
+            ring.widen(2 * ring.pack.width)
+        out = {}
+        for exps, c in rows.items():
+            key = ring.pack.key(exps)
+            out[key] = out.get(key, 0) + c
+        self.ring, self.pack = ring, ring.pack
+        self.terms = Polynomial._raw(ring, out, ring.pack).terms
 
     @classmethod
-    def _raw(cls, ring, terms):
-        """A result of arithmetic inside `ring`, trusted to fit it.
+    def _raw(cls, ring, terms, pack):
+        """A result of arithmetic inside `ring`, keyed in `pack`, whose
+        keys are stored ones.
 
-        Skips the width check and `coerce`; drops zero coefficients and
-        turns integral Fractions into ints.
+        Drops zero coefficients and turns integral Fractions into ints.
         """
         poly = object.__new__(cls)
-        poly.ring = ring
+        poly.ring, poly.pack = ring, pack
         poly.terms = clean = {}
-        for exps, c in terms.items():
+        for key, c in terms.items():
             if c:
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
-                clean[exps] = c
+                clean[key] = c
+        return poly
+
+    @classmethod
+    def _product(cls, ring, terms, pack):
+        """`_raw` for a sum of products, whose exponents may reach twice
+        the stored bound: the ring then doubles its width and the result
+        moves to the new packing."""
+        poly = cls._raw(ring, terms, pack)
+        if reduce(or_, map(pack.less_quarter, poly.terms), 0) & pack.guard:
+            ring.widen(2 * pack.width)
+            ring.align(poly)
         return poly
 
     # -- arithmetic ---------------------------------------------------------
@@ -345,16 +417,19 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.pack is not other.pack:
+            self.ring.align(self, other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return Polynomial._raw(self.ring, out)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return Polynomial._raw(self.ring, out, self.pack)
 
     __radd__ = __add__
 
     def __neg__(self):
         return Polynomial._raw(self.ring,
-                               {e: -c for e, c in self.terms.items()})
+                               {k: -c for k, c in self.terms.items()},
+                               self.pack)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -369,26 +444,31 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             c0 = self.ring.coerce(other)
             return Polynomial._raw(
-                self.ring, {e: c * c0 for e, c in self.terms.items()})
+                self.ring, {k: c * c0 for k, c in self.terms.items()},
+                self.pack)
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        ring = self.ring
+        if self.pack is not ring.pack or other.pack is not ring.pack:
+            ring.align(self, other)
         out = {}
-        self.ring.add_product(out, self.terms, other.terms)
-        return Polynomial._raw(self.ring, out)
+        ring.add_product(out, self.terms, other.terms)
+        return Polynomial._product(ring, out, ring.pack)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise InputError("exponents must be nonnegative integers")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        if not k:
+            return self.ring.one()
+        # left to right from the highest set bit, so 1 is never a factor
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -396,44 +476,44 @@ class Polynomial:
             other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
+        if self.ring is not other.ring:
+            return False
+        if self.pack is not other.pack:
+            self.ring.align(self, other)
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
+        return hash((id(self.ring),
+                     frozenset(self.exponent_terms().items())))
 
     def is_zero(self):
         return not self.terms
 
     # -- structure ------------------------------------------------------------
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
+    def exponent_terms(self):
+        """The terms as a dict from normal-form exponent tuples."""
+        exponents = self.pack.exponents
+        return {exponents(k): c for k, c in self.terms.items()}
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.ring.gens), 0)
+        return self.terms.get(self.pack.offset, 0)
 
     def adams_degree(self):
         """Degree when homogeneous; None for 0; raises when mixed."""
         deg = None
-        for exps in self.terms:
-            d = self.ring.monomial_degree(exps)
+        for key in self.terms:
+            d = self.pack.degree(key)
             if deg is None:
                 deg = d
             elif d != deg:
                 raise InputError(f"{self} is not homogeneous")
         return deg
 
-    def is_homogeneous(self):
-        try:
-            self.adams_degree()
-            return True
-        except InputError:
-            return False
-
     def homogeneous_part(self, degree):
-        return Polynomial(self.ring, {
-            e: c for e, c in self.terms.items()
-            if self.ring.monomial_degree(e) == degree})
+        return Polynomial._raw(self.ring, {
+            k: c for k, c in self.terms.items()
+            if self.pack.degree(k) == degree}, self.pack)
 
     def map_to(self, target, images):
         """Apply the ring map sending generator names per `images`.
@@ -443,12 +523,18 @@ class Polynomial:
         must be covered.  Coefficients move along Z -> Z, Z -> Q, Q -> Q,
         or Q -> Z when no denominators are present.
         """
+        pack = target.pack
+        own = self.pack     # self may be an image, repacked in the loop
         powers = {}     # (generator index, exponent) -> image power
         out = {}
-        for exps, c in self.terms.items():
-            term = target.const(c)
-            for i, e in enumerate(exps):
+        for key, c in self.terms.items():
+            c = target.coerce(c)
+            term = None
+            for i, j, shift, bias, _ in own.layout:
+                e = (key >> shift & own.mask) - bias
                 if e:
+                    if e < 0:
+                        i, e = j, -e
                     power = powers.get((i, e))
                     if power is None:
                         name = self.ring.gens[i].name
@@ -456,15 +542,24 @@ class Polynomial:
                             raise InputError(
                                 f"no image given for generator {name!r}")
                         power = powers[i, e] = images[name] ** e
-                    term = term * power
+                        if power.ring is not target:
+                            raise InputError("mixed-ring arithmetic")
+                    term = power if term is None else term * power
+            if term is None:
+                out[pack.offset] = out.get(pack.offset, 0) + c
+                continue
+            target.align(term)
             for m, v in term.terms.items():
-                out[m] = out.get(m, 0) + v
-        return Polynomial._raw(target, out)
+                out[m] = out.get(m, 0) + c * v
+        if target.pack is not pack:
+            # a power widened the target: the keys summed so far are stale
+            return self.map_to(target, images)
+        return Polynomial._raw(target, out, pack)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (degree, then exponents)."""
         return sorted(
-            self.terms.items(),
+            self.exponent_terms().items(),
             key=lambda item: (self.ring.monomial_degree(item[0]), item[0]),
             reverse=True)
 
@@ -523,25 +618,26 @@ def degree_lattice(ring, degree, generators, elements, bound, cache=None):
 
     def monomials(d):
         if d not in cache:
-            cache[d] = ring.monomials_of_degree(d, bound)
+            monos, flag = ring.monomials_of_degree(d, bound)
+            cache[d] = monos, flag, [ring.poly({m: 1}) for m in monos]
         return cache[d]
 
     truncated = False
     carrier = []
     for name, gdeg in generators or ():
-        monos, flag = monomials(degree - gdeg)
+        monos, flag, _ = monomials(degree - gdeg)
         truncated = truncated or flag
         carrier.extend((name, m) for m in monos)
     sparse = []     # rows stay dicts until the carrier stops growing
     for edeg, element in elements:
         if edeg is None:
             continue
-        monos, flag = monomials(degree - edeg)
+        _, flag, polys = monomials(degree - edeg)
         truncated = truncated or flag
-        for m in monos:
+        for m in polys:
             row = {}
             for name, poly in element.items():
-                for exps, c in (ring.poly({m: 1}) * poly).terms.items():
+                for exps, c in (m * poly).exponent_terms().items():
                     row[name, exps] = row.get((name, exps), 0) + c
             sparse.append(row)
     if generators is None:

@@ -149,6 +149,7 @@ class TruncSeries:
         if other is NotImplemented:
             return NotImplemented
         order = min(self.order, other.order)
+        self.ring.align(*self.coeffs.values(), *other.coeffs.values())
         right = [(j, sum(j), b.terms) for j, b in other.coeffs.items()]
         add_product = self.ring.add_product
         out = {}
@@ -185,7 +186,8 @@ class TruncSeries:
         """self(args[0], .., args[nvars - 1]) to the smallest order.
 
         The arguments share one ring and one number of variables, which
-        the result keeps, and have zero constant terms.
+        the result keeps, and have zero constant terms.  A bare variable
+        argument shifts series exponents instead of multiplying.
         """
         if len(args) != self.nvars:
             raise InputError("wrong number of substitution arguments")
@@ -197,21 +199,43 @@ class TruncSeries:
             if zero in g.coeffs:
                 raise NonzeroConstantInner(
                     "inner series has nonzero constant term")
+        ring = self.ring
+        pack = ring.pack
         order = min([self.order] + [g.order for g in args])
-        one = TruncSeries(self.ring, order, {zero: 1}, nvars)
-        powers = [[one] for _ in args]
-        add_product = self.ring.add_product
+        one = ring.one()
+        bare = [_bare_variable(g, one) for g in args]
+        powers = [[None, g.truncate(order)] for g in args]
+        add_product = ring.add_product
         total = {}
         for exps, c in self.coeffs.items():
             term = None
-            for cache, g, e in zip(powers, args, exps):
+            shift = zero
+            for cache, g, var, e in zip(powers, args, bare, exps):
+                if not e:
+                    continue
+                if var is not None:
+                    shift = tuple(s + e * v for s, v in zip(shift, var))
+                    continue
                 while len(cache) <= e:
                     cache.append(cache[-1] * g)
-                if e:
-                    term = cache[e] if term is None else term * cache[e]
-            for k, t in (one if term is None else term).coeffs.items():
-                add_product(total.setdefault(k, {}), t.terms, c.terms)
-        return _from_terms(self.ring, order, total, nvars)
+                term = cache[e] if term is None else term * cache[e]
+            if sum(shift) > order:
+                continue
+            ring.align(c)
+            if term is None:
+                acc = total.setdefault(shift, {})
+                for key, v in c.terms.items():
+                    acc[key] = acc.get(key, 0) + v
+                continue
+            ring.align(*term.coeffs.values())
+            for k, t in term.coeffs.items():
+                k = tuple(map(add, k, shift))
+                if sum(k) <= order:
+                    add_product(total.setdefault(k, {}), t.terms, c.terms)
+        if ring.pack is not pack:
+            # a product widened the ring: the keys summed so far are stale
+            return self.subst(args)
+        return _from_terms(ring, order, total, nvars)
 
     def compose(self, inner):
         """self(inner(x)); the inner series must have zero constant term."""
@@ -320,8 +344,20 @@ class TruncSeries:
     __repr__ = __str__
 
 
+def _bare_variable(g, one):
+    """The exponents of g when it is one variable with coefficient 1."""
+    if len(g.coeffs) == 1:
+        (k, c), = g.coeffs.items()
+        if sum(k) == 1 and c == one:
+            return k
+    return None
+
+
 def _from_terms(ring, order, terms, nvars):
-    """The series whose coefficients have the term dicts in `terms`."""
+    """The series whose coefficients have the term dicts in `terms`,
+    keyed in the ring's current packing."""
+    pack = ring.pack
     return TruncSeries._raw(
-        ring, order, {k: Polynomial._raw(ring, t) for k, t in terms.items()},
+        ring, order,
+        {k: Polynomial._product(ring, t, pack) for k, t in terms.items()},
         nvars)

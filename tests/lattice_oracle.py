@@ -51,7 +51,7 @@ class LatticeReducer:
 
     def _vectorize(self, poly, position):
         vec = [0] * len(position)
-        for exps, c in poly.terms.items():
+        for exps, c in poly.exponent_terms().items():
             vec[position[exps]] = c
         return vec
 
@@ -65,7 +65,7 @@ class LatticeReducer:
             raise InputError("polynomial is not over this ring's presentation")
         out = {}
         by_degree = {}
-        for exps, c in poly.terms.items():
+        for exps, c in poly.exponent_terms().items():
             by_degree.setdefault(self.ring.monomial_degree(exps), []).append(
                 (exps, c))
         for degree, terms in sorted(by_degree.items()):

@@ -10,6 +10,8 @@ it.  The property test in `test_rings.py` compares the production walk
 with it.
 """
 
+from mseries_oracle import inverse_pairs
+
 
 def monomials_of_degree(ring, degree, bound):
     """Normal-form monomials of one Adams degree, exponents <= bound.
@@ -20,13 +22,9 @@ def monomials_of_degree(ring, degree, bound):
     degs = [g.adams_degree for g in ring.gens]
     # slots: a plain generator, or an invertible pair as one signed
     # exponent in -bound..bound
-    slots = []
-    for i in range(n):
-        j = ring.inverse_partner.get(i)
-        if j is None:
-            slots.append((i, None))
-        elif j > i:
-            slots.append((i, j))
+    partner = dict(inverse_pairs(ring))
+    inverses = set(partner.values())
+    slots = [(i, partner.get(i)) for i in range(n) if i not in inverses]
     k = len(slots)
     lo = [0] * (k + 1)
     hi = [0] * (k + 1)

@@ -18,22 +18,35 @@ from cobalt.rings import Polynomial
 from cobalt.series import TruncSeries
 
 
-def _times(a, b):
-    """The Polynomial a * b by a naive term loop.
+def inverse_pairs(ring):
+    """(i, j) for each invertible generator g_i and its inverse g_j,
+    read from the generator names and flags alone."""
+    return [(ring.index[g.name], ring.index[g.name + "_inv"])
+            for g in ring.gens if g.invertible]
 
-    Cancels each g * g_inv pair itself, so a Laurent product comes out
-    in normal form without `Ring.normalize_monomial`.
+
+def normal_form(ring, exps):
+    """`exps` with each g * g_inv pair cancelled, as a tuple."""
+    exps = list(exps)
+    for i, j in inverse_pairs(ring):
+        m = min(exps[i], exps[j])
+        exps[i] -= m
+        exps[j] -= m
+    return tuple(exps)
+
+
+def _times(a, b):
+    """The Polynomial a * b by a naive term loop over exponent tuples.
+
+    The tuple kernel `Ring.add_product` had before monomials were
+    packed into ints: it adds exponent tuples and cancels each g * g_inv
+    pair itself, so it shares no key arithmetic with `cobalt.rings`.
     """
     ring = a.ring
     out = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            exps = [x + y for x, y in zip(ea, eb)]
-            for i, j in ring.inverse_partner.items():
-                m = min(exps[i], exps[j])
-                exps[i] -= m
-                exps[j] -= m
-            key = tuple(exps)
+    for ea, ca in a.exponent_terms().items():
+        for eb, cb in b.exponent_terms().items():
+            key = normal_form(ring, [x + y for x, y in zip(ea, eb)])
             out[key] = out.get(key, 0) + Fraction(ca) * Fraction(cb)
     return Polynomial(ring, out)
 

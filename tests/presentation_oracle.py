@@ -32,7 +32,7 @@ def carrier(module, degree, bound):
 
 def vector(gname, poly, position, width):
     vec = [0] * width
-    for exps, c in poly.terms.items():
+    for exps, c in poly.exponent_terms().items():
         key = (gname, exps)
         if key not in position:
             raise Truncated()

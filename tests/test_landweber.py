@@ -24,6 +24,8 @@ from cobalt.rings import (
     polynomial_ring,
 )
 
+from cobalt import snf
+
 import presentation_oracle
 
 
@@ -120,6 +122,27 @@ def test_rational_witness_skips_preimages_in_the_source():
     assert statuses(verdict) == ["fails"]
     assert verdict.stages[0].witness_degree == 0
     assert verdict.stages[0].detail.endswith("coordinates [0, 1]")
+
+
+def test_rational_unit_stage_computes_no_smith_form(monkeypatch):
+    # over Q[beta^+-1] the stage-0 element p is a nonzero constant, a
+    # unit, so stage 0 is regular without a preimage or Smith form
+    ring = laurent_ring("Q", "beta")
+    beta = ring.gen("beta")
+    module = ModulePresentation(ring, [("e", 0), ("f", 1)],
+                                [{"e": beta, "f": -1}])
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form",
+                        lambda *args: calls.append(args) or smith(*args))
+    # beta is a unit too, but not a constant: its stage computes
+    verdict = check_regular(module, [beta], 3, (-2, 2))
+    assert statuses(verdict) == ["regular"]
+    assert calls
+    calls.clear()
+    verdict = check_regular(module, [ring.const(3)], 3, (-2, 2))
+    assert statuses(verdict) == ["regular"]
+    assert calls == []
 
 
 def test_torsion_module_fails_at_stage_zero():

@@ -25,6 +25,7 @@ from cobalt.rings import (
 )
 
 from monomial_oracle import monomials_of_degree as oracle_monomials_of_degree
+from mseries_oracle import _times, normal_form
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ def test_coercion():
     with pytest.raises(InputError):
         qx.coerce(0.5)
     half = qx.const(Fraction(1, 2))
-    assert (half + half).terms == {(0,): 1}
+    assert (half + half).exponent_terms() == {(0,): 1}
     assert type((half * 2).constant_term()) is int
 
 
@@ -243,7 +244,7 @@ def brute_component_rank(ring, degree, bound):
     monos = set()
     for exps in product(range(bound + 1), repeat=n):
         if ring.monomial_degree(exps) == degree:
-            monos.add(ring.normalize_monomial(exps))
+            monos.add(normal_form(ring, exps))
     monos = sorted(monos, reverse=True)
     pos = {m: i for i, m in enumerate(monos)}
     rows = []
@@ -251,11 +252,11 @@ def brute_component_rank(ring, degree, bound):
         for exps in product(range(bound + 1), repeat=n):
             if ring.monomial_degree(exps) != degree - rel.adams_degree():
                 continue
-            prod = ring.poly({ring.normalize_monomial(exps): 1}) * rel
-            if any(e not in pos for e in prod.terms):
+            prod = ring.poly({normal_form(ring, exps): 1}) * rel
+            if any(e not in pos for e in prod.exponent_terms()):
                 continue
             vec = [0] * len(monos)
-            for e, c in prod.terms.items():
+            for e, c in prod.exponent_terms().items():
                 vec[pos[e]] = int(c)
             rows.append(vec)
     from cobalt import snf
@@ -450,8 +451,8 @@ def test_products_and_sums_are_canonical(data):
     ring = KINDS[kind][0]
     da, db = data.draw(term_dicts(kind, 2))
     a, b = ring.poly(da), ring.poly(db)
-    assert (a * b).terms == reference_product(kind, da, db)
-    assert (a + b).terms == reference_sum(da, db)
+    assert (a * b).exponent_terms() == reference_product(kind, da, db)
+    assert (a + b).exponent_terms() == reference_sum(da, db)
     for poly in (a, b, a * b, a + b, a - b, -a, a * 3, a * Fraction(4, 2),
                  a - a, a ** 2):
         assert_canonical(poly)
@@ -469,3 +470,102 @@ def test_map_to_is_a_ring_map(data):
     assert (a + b).map_to(target, images) == fa + fb
     for poly in (fa, fb, (a * b).map_to(target, images)):
         assert_canonical(poly)
+
+
+# -- packed keys against the tuple kernel ---------------------------------
+#
+# A stored key keeps every |exponent| below 2^(w-2), and a product may
+# reach twice that before the ring widens; `STORED` is the largest
+# exponent a new ring stores.
+STORED = (1 << (polynomial_ring("Z", []).pack.width - 2)) - 1
+
+
+@st.composite
+def packed_rings(draw):
+    """A fresh Z or Q ring on up to 6 generators, some invertible, and a
+    strategy for term dicts whose exponents start near 0 or near the
+    stored limit."""
+    base = draw(st.sampled_from("ZQ"))
+    specs = [GenSpec(f"g{i}", draw(st.integers(-2, 3)), draw(st.booleans()))
+             for i in range(draw(st.integers(1, 6)))]
+    ring = Ring(base, specs)
+    size = st.one_of(st.integers(0, 3), st.integers(STORED - 2, STORED + 2))
+
+    def monomial(values):
+        exps = [0] * len(ring.gens)
+        for spec, e in zip(specs, values):
+            if spec.invertible and e < 0:
+                exps[ring.index[spec.name + "_inv"]] = -e
+            else:
+                exps[ring.index[spec.name]] = abs(e)
+        return tuple(exps)
+
+    values = st.tuples(*[st.tuples(size, st.booleans()).map(
+        lambda v: -v[0] if v[1] else v[0]) for _ in specs]).map(monomial)
+    coefficients = rationals if base == "Q" else ints
+    return ring, st.dictionaries(values, coefficients, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_products_match_the_tuple_kernel(data):
+    ring, terms = data.draw(packed_rings())
+    a, b = ring.poly(data.draw(terms)), ring.poly(data.draw(terms))
+    a_text, a_hash, width = str(a), hash(a), ring.pack.width
+    product = a * b
+    assert product.exponent_terms() == _times(a, b).exponent_terms()
+    assert product == _times(a, b)
+    assert_canonical(product)
+    # a widening keeps every older polynomial's value, print and hash
+    assert ring.pack.width >= width
+    assert str(a) == a_text and hash(a) == a_hash
+    assert (a + product) - product == a
+
+
+def test_a_product_past_the_stored_limit_widens_the_ring():
+    ring = Ring("Z", [GenSpec("x", 1), GenSpec("y", 2),
+                      GenSpec("b", 1, invertible=True)])
+    x, y, b_inv = ring.gen("x"), ring.gen("y"), ring.gen("b_inv")
+    old = y ** 3 + 2 * x
+    width = ring.pack.width
+    top = x ** STORED * b_inv ** STORED
+    assert ring.pack.width == width
+    assert top * x * b_inv == ring.poly({(STORED + 1, 0, 0, STORED + 1): 1})
+    assert ring.pack.width == 2 * width
+    assert old.pack is not ring.pack
+    assert old * x == ring.poly({(1, 3, 0, 0): 1, (2, 0, 0, 0): 2})
+    assert str(old) == "y^3 + 2*x"
+    # x^(2^w - 1) is past the limit as soon as it is written down
+    full = (1 << ring.pack.width) - 1
+    assert (x ** full * x).exponent_terms() == {(full + 1, 0, 0, 0): 1}
+    assert ring.pack.width == 4 * width
+    assert (x ** full * x) == ring.poly({(full + 1, 0, 0, 0): 1})
+    assert old * x ** full == x ** full * old
+
+
+def test_map_to_restarts_when_a_power_widens_the_target():
+    source = polynomial_ring("Z", [("x", 1), ("y", 1)])
+    target = polynomial_ring("Z", [("s", 1), ("t", 1)])
+    s, t = target.gen("s"), target.gen("t")
+    images = {"x": t ** STORED, "y": s * t}
+    early = {"x": t ** 5, "y": s * t}
+    width = target.pack.width
+    x, y = source.gen("x"), source.gen("y")
+    image = (y + x ** 2 + y ** 3).map_to(target, images)
+    assert target.pack.width == 2 * width
+    assert image.exponent_terms() == {(1, 1): 1, (0, 2 * STORED): 1,
+                                      (3, 3): 1}
+    # images made before the widening are repacked when used
+    assert early["y"].pack is not target.pack
+    assert (y + x).map_to(target, early).exponent_terms() == \
+        {(1, 1): 1, (0, 5): 1}
+
+
+def test_map_to_of_a_polynomial_that_is_its_own_image():
+    # the image of y is the polynomial itself, repacked in the loop once
+    # x^2 has widened the ring; its later keys keep their old packing
+    ring = polynomial_ring("Z", [("x", 1), ("y", 1)])
+    x, y = ring.gen("x"), ring.gen("y")
+    p = x ** 2 + y + x * y
+    image = p.map_to(ring, {"x": x ** STORED, "y": p})
+    assert image == x ** (2 * STORED) + p + x ** STORED * p

@@ -22,6 +22,8 @@ from mseries_oracle import (
     _from_univariate,
     _MSeries,
     _to_univariate,
+    inverse_pairs,
+    normal_form,
 )
 
 
@@ -198,7 +200,7 @@ _fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 def _polynomials(ring):
     """Polynomials over `ring` with up to three terms."""
-    if ring.inverse_partner:
+    if inverse_pairs(ring):
         # beta^e in normal form over the (beta, beta_inv) pair
         monomials = st.integers(-2, 2).map(
             lambda e: (e, 0) if e >= 0 else (0, -e))
@@ -245,8 +247,8 @@ def _canonical(series):
     ring = series.ring
     for c in series.coeffs.values():
         assert c.terms
-        for exps, v in c.terms.items():
-            assert ring.normalize_monomial(exps) == exps, (exps, series)
+        for exps, v in c.exponent_terms().items():
+            assert normal_form(ring, exps) == exps, (exps, series)
             assert v != 0
             assert (type(v) is int) == (Fraction(v).denominator == 1)
     return True
@@ -302,3 +304,16 @@ def test_compose_with_bivariate_matches_oracle(case):
     order = min(phi.order, G.order)
     assert _same(phi.compose(G),
                  _compose_outer(_oracle_univariate(phi), Gm, order))
+
+
+def test_subst_restarts_when_a_product_widens_the_ring():
+    ring = polynomial_ring("Z", [("x", 1), ("y", 1)])
+    # the largest exponent a new ring stores
+    c = ring.gen("x") ** ((1 << (ring.pack.width - 2)) - 1) * ring.gen("y")
+    width = ring.pack.width
+    f = TruncSeries(ring, 3, {1: c, 2: c, 3: 1})
+    g = TruncSeries(ring, 3, {1: c, 2: 1})
+    h = f.compose(g)
+    assert ring.pack.width == 2 * width
+    assert h.coeffs == {(1,): c ** 2, (2,): c + c ** 3,
+                        (3,): 2 * c ** 2 + c ** 3}
