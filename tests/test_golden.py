@@ -68,9 +68,16 @@ DEGREE_ZERO_MODULE = {
     "relations": [{"e": "3*u"}],
 }
 
+# Z[c, 1/c] with c in degree -1: coefficients for `oriented --coeff`
+LAURENT_COEFF = {"base": "Z",
+                 "generators": [{"name": "c", "adams_degree": -1,
+                                 "invertible": True}],
+                 "relations": []}
+
 INPUT_FILES = {"law": LAW_FILE, "torsion": TORSION_MODULE,
                "rational": RATIONAL_MODULE, "additive": ADDITIVE_LAW_FILE,
-               "degree_zero": DEGREE_ZERO_MODULE}
+               "degree_zero": DEGREE_ZERO_MODULE,
+               "laurent_coeff": LAURENT_COEFF}
 
 
 def _fgl_commands():
@@ -116,6 +123,14 @@ COMMANDS = _fgl_commands() + [
     ["hopf", "--N", "3", "--induced", "{additive}"],
     ["landweber", "--module", "{degree_zero}", "--law", "additive",
      "--primes", "2,3", "--height", "2", "--window", "-2:3"],
+] + [
+    # Thom classes, Schur bases and a Laurent coefficient ring
+    ["oriented", "--n", str(n), "--d", str(d), "--thom"]
+    for n, d in ((2, 1), (4, 2), (6, 3))
+] + [
+    ["oriented", "--n", "5", "--d", "2"],
+    ["oriented", "--coeff", "{laurent_coeff}", "--n", "4", "--d", "2",
+     "--thom"],
 ]
 
 
