@@ -74,14 +74,24 @@ class HopfAlgebroidPresentation:
         return [g.name for g in self.Gamma.gens]
 
 
+def _copies(N, *b_copies):
+    """Q[m1..m_{N-1}] followed by b1..b_{N-1} for each prefix given."""
+    return polynomial_ring("Q", [(f"{p}{i}", i) for p in ("m",) + b_copies
+                                 for i in range(1, N)])
+
+
+def _renaming(ring, N, **names):
+    """Send old_i to ring's new_i for every old=new pair and i < N."""
+    return {f"{old}{i}": ring.gen(f"{new}{i}")
+            for old, new in names.items() for i in range(1, N)}
+
+
 def mumu_rational_truncated(N):
     """The truncated rational universal Hopf algebroid at order N."""
     if not isinstance(N, int) or N < 2:
         raise InputError("need a truncation order N >= 2")
-    m_specs = [(f"m{i}", i) for i in range(1, N)]
-    A = polynomial_ring("Q", m_specs)
-    Gamma = polynomial_ring(
-        "Q", m_specs + [(f"b{i}", i) for i in range(1, N)])
+    A = _copies(N)
+    Gamma = _copies(N, "b")
 
     # solve log_L = log_R o b for the right unit, degree by degree
     b = universal_log(Gamma, N, "b")
@@ -96,74 +106,41 @@ def mumu_rational_truncated(N):
     if acc != universal_log(Gamma, N):
         raise IllFormed("right unit solve did not reproduce the log")
 
-    eta_L = {f"m{i}": Gamma.gen(f"m{i}") for i in range(1, N)}
-    counit = {f"m{i}": A.gen(f"m{i}") for i in range(1, N)}
+    eta_L = _renaming(Gamma, N, m="m")
+    counit = _renaming(A, N, m="m")
     counit.update({f"b{i}": A.zero() for i in range(1, N)})
 
     # tensor square: free on m, bL, bR; the right-copy m is eliminated
-    T2 = polynomial_ring(
-        "Q", m_specs + [(f"bL{i}", i) for i in range(1, N)]
-        + [(f"bR{i}", i) for i in range(1, N)])
-    origin = {}
-    left = {}
-    right = {}
-    m_to_t2 = {f"m{i}": T2.gen(f"m{i}") for i in range(1, N)}
-    b_to_bL = {f"b{i}": T2.gen(f"bL{i}") for i in range(1, N)}
-    for i in range(1, N):
-        origin[f"m{i}"] = ("L", f"m{i}")
-        origin[f"bL{i}"] = ("L", f"b{i}")
-        origin[f"bR{i}"] = ("R", f"b{i}")
-        left[f"m{i}"] = T2.gen(f"m{i}")
-        left[f"b{i}"] = T2.gen(f"bL{i}")
-        right[f"m{i}"] = eta_R[f"m{i}"].map_to(T2, {**m_to_t2, **b_to_bL})
-        right[f"b{i}"] = T2.gen(f"bR{i}")
+    T2 = _copies(N, "bL", "bR")
+    origin = {f"{new}{i}": (side, f"{old}{i}") for side, old, new in
+              (("L", "m", "m"), ("L", "b", "bL"), ("R", "b", "bR"))
+              for i in range(1, N)}
+    left = _renaming(T2, N, m="m", b="bL")
+    right = {m: r.map_to(T2, left) for m, r in eta_R.items()}
+    right.update(_renaming(T2, N, b="bR"))
     square = TensorSquare(T2, origin, left, right)
 
     # comultiplication: compose the two copies of b
-    bL = universal_log(T2, N, "bL")
-    bR = universal_log(T2, N, "bR")
-    composite = bR.compose(bL)
-    comult = {f"m{i}": T2.gen(f"m{i}") for i in range(1, N)}
+    composite = universal_log(T2, N, "bR").compose(universal_log(T2, N, "bL"))
+    comult = _renaming(T2, N, m="m")
     comult.update({f"b{i}": composite.coeff(i + 1) for i in range(1, N)})
 
     # triple tensor ring for coassociativity
-    T3 = polynomial_ring(
-        "Q", m_specs + [(f"bL{i}", i) for i in range(1, N)]
-        + [(f"bM{i}", i) for i in range(1, N)]
-        + [(f"bR{i}", i) for i in range(1, N)])
-    push12 = {f"m{i}": T3.gen(f"m{i}") for i in range(1, N)}
-    push12.update({f"bL{i}": T3.gen(f"bL{i}") for i in range(1, N)})
-    push12.update({f"bR{i}": T3.gen(f"bM{i}") for i in range(1, N)})
-    m_to_t3 = {f"m{i}": T3.gen(f"m{i}") for i in range(1, N)}
-    b_to_bL3 = {f"b{i}": T3.gen(f"bL{i}") for i in range(1, N)}
-    push23 = {f"m{i}": eta_R[f"m{i}"].map_to(T3, {**m_to_t3, **b_to_bL3})
-              for i in range(1, N)}
-    push23.update({f"bL{i}": T3.gen(f"bM{i}") for i in range(1, N)})
-    push23.update({f"bR{i}": T3.gen(f"bR{i}") for i in range(1, N)})
+    T3 = _copies(N, "bL", "bM", "bR")
+    push12 = _renaming(T3, N, m="m", bL="bL", bR="bM")
+    to_left = _renaming(T3, N, m="m", b="bL")
+    push23 = {m: r.map_to(T3, to_left) for m, r in eta_R.items()}
+    push23.update(_renaming(T3, N, bL="bM", bR="bR"))
     cube = TensorCube(T3, push12, push23)
 
     # conjugation: invert the coordinate change, swap the units
     b_inverse = b.revert()
-    conjugation = {f"m{i}": eta_R[f"m{i}"] for i in range(1, N)}
+    conjugation = dict(eta_R)
     conjugation.update(
         {f"b{i}": b_inverse.coeff(i + 1) for i in range(1, N)})
 
     return HopfAlgebroidPresentation(A, Gamma, eta_L, eta_R, counit, N,
                                      square, comult, cube, conjugation)
-
-
-def trivial_hopf_algebroid(specs=(("t", 1),), N=4):
-    """Gamma = A with every structure map the identity."""
-    A = polynomial_ring("Q", list(specs))
-    names = [g.name for g in A.gens]
-    identity = {name: A.gen(name) for name in names}
-    square = TensorSquare(
-        A, {name: ("L", name) for name in names}, dict(identity),
-        dict(identity))
-    cube = TensorCube(A, dict(identity), dict(identity))
-    return HopfAlgebroidPresentation(
-        A, A, dict(identity), dict(identity), dict(identity), N,
-        square, dict(identity), cube, dict(identity))
 
 
 class AxiomCheck:
@@ -199,101 +176,62 @@ class HopfAxiomReport:
         return f"HopfAxiomReport({verdict}, {len(self.checks)} checks)"
 
 
-def _gen_degree(ring, name):
-    return ring.gens[ring.index[name]].adams_degree
-
-
 def verify_hopf_axioms(H, N=None):
-    """Check the algebroid axioms as polynomial identities up to N."""
+    """Check the algebroid axioms as polynomial identities up to N.
+
+    Each axiom is an identity per generator of A or Gamma; a generator
+    of degree at most N where it fails is a (generator, degree) witness.
+    """
     if N is None:
         N = H.N
+    A, Gamma, T2, T3 = H.A, H.Gamma, H.square.ring, H.cube.ring
+    comult, conj = H.comult, H.conjugation
     checks = []
 
-    def a_gens():
-        return [g for g in H.a_generators() if _gen_degree(H.A, g) <= N]
+    def check(name, ring, holds):
+        witnesses = [(g.name, g.adams_degree) for g in ring.gens
+                     if g.adams_degree <= N and not holds(g.name)]
+        checks.append(AxiomCheck(name, not witnesses, witnesses))
 
-    def gamma_gens():
-        return [g for g in H.gamma_generators()
-                if _gen_degree(H.Gamma, g) <= N]
-
-    def record(name, failures):
-        checks.append(AxiomCheck(name, not failures, failures))
-
-    # counit against the units: eps o eta = id on A
-    for label, eta in (("counit_left_unit", H.eta_L),
-                       ("counit_right_unit", H.eta_R)):
-        bad = []
-        for g in a_gens():
-            if eta[g].map_to(H.A, H.counit) != H.A.gen(g):
-                bad.append((g, _gen_degree(H.A, g)))
-        record(label, bad)
-
-    T2 = H.square.ring
-    # (eps (x) 1) Delta = id and (1 (x) eps) Delta = id
-    eps1 = {}
-    eps2 = {}
+    # eps (x) 1, 1 (x) eps, Delta (x) 1 and 1 (x) Delta as assignments
+    # out of the square's generators
+    eps1, eps2, d1, d2 = {}, {}, {}, {}
     for t2g, (side, gg) in H.square.origin.items():
         if side == "L":
-            eps1[t2g] = H.counit[gg].map_to(H.Gamma, H.eta_L)
-            eps2[t2g] = H.Gamma.gen(gg)
-        else:
-            eps1[t2g] = H.Gamma.gen(gg)
-            eps2[t2g] = H.counit[gg].map_to(H.Gamma, H.eta_R)
-    for label, assignment in (("left_counit_law", eps1),
-                              ("right_counit_law", eps2)):
-        bad = []
-        for g in gamma_gens():
-            if H.comult[g].map_to(H.Gamma, assignment) != H.Gamma.gen(g):
-                bad.append((g, _gen_degree(H.Gamma, g)))
-        record(label, bad)
-
-    # units are grouplike: Delta o eta = factor embedding o eta
-    bad_l, bad_r = [], []
-    for g in a_gens():
-        if H.eta_L[g].map_to(T2, H.comult) != \
-                H.eta_L[g].map_to(T2, H.square.left):
-            bad_l.append((g, _gen_degree(H.A, g)))
-        if H.eta_R[g].map_to(T2, H.comult) != \
-                H.eta_R[g].map_to(T2, H.square.right):
-            bad_r.append((g, _gen_degree(H.A, g)))
-    record("left_unit_compatibility", bad_l)
-    record("right_unit_compatibility", bad_r)
-
-    # (Delta (x) 1) Delta = (1 (x) Delta) Delta in the triple ring
-    T3 = H.cube.ring
-    d1 = {}
-    d2 = {}
-    for t2g, (side, gg) in H.square.origin.items():
-        if side == "L":
-            d1[t2g] = H.comult[gg].map_to(T3, H.cube.push12)
+            eps1[t2g] = H.counit[gg].map_to(Gamma, H.eta_L)
+            eps2[t2g] = Gamma.gen(gg)
+            d1[t2g] = comult[gg].map_to(T3, H.cube.push12)
             d2[t2g] = H.cube.push12[t2g]
         else:
+            eps1[t2g] = Gamma.gen(gg)
+            eps2[t2g] = H.counit[gg].map_to(Gamma, H.eta_R)
             d1[t2g] = H.cube.push23[t2g]
-            d2[t2g] = H.comult[gg].map_to(T3, H.cube.push23)
-    bad = []
-    for g in gamma_gens():
-        lhs = H.comult[g].map_to(T3, d1)
-        rhs = H.comult[g].map_to(T3, d2)
-        if lhs != rhs:
-            bad.append((g, _gen_degree(H.Gamma, g)))
-    record("coassociativity", bad)
+            d2[t2g] = comult[gg].map_to(T3, H.cube.push23)
 
+    # counit against the units: eps o eta = id on A
+    for name, eta in (("counit_left_unit", H.eta_L),
+                      ("counit_right_unit", H.eta_R)):
+        check(name, A, lambda g: eta[g].map_to(A, H.counit) == A.gen(g))
+    # (eps (x) 1) Delta = id and (1 (x) eps) Delta = id
+    for name, eps in (("left_counit_law", eps1), ("right_counit_law", eps2)):
+        check(name, Gamma,
+              lambda g: comult[g].map_to(Gamma, eps) == Gamma.gen(g))
+    # units are grouplike: Delta o eta = factor embedding o eta
+    for name, eta, factor in (
+            ("left_unit_compatibility", H.eta_L, H.square.left),
+            ("right_unit_compatibility", H.eta_R, H.square.right)):
+        check(name, A, lambda g: eta[g].map_to(T2, comult)
+              == eta[g].map_to(T2, factor))
+    # (Delta (x) 1) Delta = (1 (x) Delta) Delta in the triple ring
+    check("coassociativity", Gamma,
+          lambda g: comult[g].map_to(T3, d1) == comult[g].map_to(T3, d2))
     # the conjugation is an involution that swaps the units
-    bad = []
-    for g in gamma_gens():
-        if H.conjugation[g].map_to(H.Gamma, H.conjugation) != \
-                H.Gamma.gen(g):
-            bad.append((g, _gen_degree(H.Gamma, g)))
-    record("conjugation_involution", bad)
-    bad_l, bad_r = [], []
-    for g in a_gens():
-        if H.eta_L[g].map_to(H.Gamma, H.conjugation) != H.eta_R[g]:
-            bad_l.append((g, _gen_degree(H.A, g)))
-        if H.eta_R[g].map_to(H.Gamma, H.conjugation) != H.eta_L[g]:
-            bad_r.append((g, _gen_degree(H.A, g)))
-    record("conjugation_swaps_left_unit", bad_l)
-    record("conjugation_swaps_right_unit", bad_r)
-
+    check("conjugation_involution", Gamma,
+          lambda g: conj[g].map_to(Gamma, conj) == Gamma.gen(g))
+    for name, eta, other in (
+            ("conjugation_swaps_left_unit", H.eta_L, H.eta_R),
+            ("conjugation_swaps_right_unit", H.eta_R, H.eta_L)):
+        check(name, A, lambda g: eta[g].map_to(Gamma, conj) == other[g])
     return HopfAxiomReport(checks)
 
 
@@ -328,13 +266,13 @@ class InducedHopf:
         self.relations = [poly for _, _, poly in relation_sources]
         self.N = N
 
-    def collapse_identifies_units(self, exponent_bound=None):
+    def collapse_identifies_units(self):
         """Do the two units agree modulo (relations) + (all b_i)?
 
-        Checked per generator by rational span membership among bounded
-        multiples of the ideal generators.  The bound can only hide a
-        witness combination, never invent one, so a positive answer is
-        exact.
+        Checked per generator by rational span membership among
+        multiples of the ideal generators with exponents at most
+        |degree| + 2.  The bound can only hide a witness combination,
+        never invent one, so a positive answer is exact.
         """
         ideal = [(h.adams_degree(), {None: h}) for h in self.relations + [
             self.ring.gen(f"b{i}") for i in range(1, self.N)
@@ -344,10 +282,8 @@ class InducedHopf:
             if delta.is_zero():
                 continue
             degree = delta.adams_degree()
-            bound = exponent_bound if exponent_bound is not None \
-                else abs(degree) + 2
             carrier, columns, _ = degree_lattice(
-                self.ring, degree, None, ideal, bound)
+                self.ring, degree, None, ideal, abs(degree) + 2)
             terms = delta.exponent_terms()
             if not {m for _, m in carrier}.issuperset(terms):
                 return False

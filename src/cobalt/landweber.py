@@ -241,7 +241,7 @@ def default_exponent_bound(module, sequence, window):
     return span + vdeg + rdeg + gdeg + 2
 
 
-def check_regular(module, sequence, prime, window, exponent_bound=None):
+def check_regular(module, sequence, prime, window):
     """Stagewise verdict for the whole sequence on the module."""
     if window[0] > window[1]:
         raise InputError("window must be (lo, hi) with lo <= hi")
@@ -249,9 +249,8 @@ def check_regular(module, sequence, prime, window, exponent_bound=None):
                 for s in sequence]
     for s in sequence:
         s.adams_degree()    # must be homogeneous
-    if exponent_bound is None:
-        exponent_bound = default_exponent_bound(module, sequence, window)
-    analyzer = _Analyzer(module, sequence, window, exponent_bound)
+    analyzer = _Analyzer(module, sequence, window,
+                         default_exponent_bound(module, sequence, window))
     verdict = LandweberVerdict(prime, window)
     for n in range(len(sequence)):
         verdict.stages.append(analyzer.stage(n))
@@ -263,13 +262,12 @@ def sequence_for_prime(law, prime, height):
     return landweber_generators(law, prime, height)
 
 
-def check_exact(module, law, primes, height, window, exponent_bound=None):
+def check_exact(module, law, primes, height, window):
     """Verdicts for each prime; exact iff no stage fails anywhere."""
     verdicts = {}
     for p in primes:
         seq = sequence_for_prime(law, p, height)
-        verdicts[p] = check_regular(module, seq, p, window,
-                                    exponent_bound=exponent_bound)
+        verdicts[p] = check_regular(module, seq, p, window)
     return verdicts, all(v.exact for v in verdicts.values())
 
 

@@ -21,104 +21,118 @@ from .grassmann import grassmannian
 from .rings import Polynomial
 
 
-class FreeModuleOnSchur:
-    """E-linear combinations of Schur classes for a fixed (n, d)."""
+def _add(coords, key, c):
+    coords[key] = coords[key] + c if key in coords else c
 
-    def __init__(self, coeff, n, d):
+
+class _FreeModule:
+    """A free module over the ring `coeff` on a basis of keys.
+
+    A subclass supplies its basis, its unit key, the check of one key
+    (`_key`), the product of two basis keys as {key: integer} (`_times`)
+    with `_reduce` bringing the keys of a sum back onto the basis, and
+    the printing of one key (`_label`, `_print_order`).
+    """
+
+    def __init__(self, coeff):
         self.coeff = coeff
-        self.grass = grassmannian(n, d)
 
-    @property
-    def rank(self):
-        return self.grass.rank
+    def _scalar(self, c):
+        if not isinstance(c, Polynomial):
+            return self.coeff.const(c)
+        if c.ring is not self.coeff:
+            raise InputError("coefficient from a different ring")
+        return c
 
-    def _compatible(self, other):
-        return other is self or (other.coeff is self.coeff
-                                 and other.grass is self.grass)
+    def _reduce(self, coords):
+        return coords
+
+    def _make(self, coords):
+        return FreeElement(self, {k: c for k, c in self._reduce(coords).items()
+                                  if not c.is_zero()})
 
     def element(self, coords):
-        clean = {}
-        for lam, c in coords.items():
-            lam = self.grass.check_partition(lam)
-            if not isinstance(c, Polynomial):
-                c = self.coeff.const(c)
-            elif c.ring is not self.coeff:
-                raise InputError("coefficient from a different ring")
-            if not c.is_zero():
-                clean[lam] = clean.get(lam, self.coeff.zero()) + c
-        return SchurElement(self, {k: v for k, v in clean.items()
-                                   if not v.is_zero()})
-
-    def schur_class(self, partition):
-        return self.element({partition: 1})
+        """The sum of c * key over a dict key -> coefficient."""
+        out = {}
+        for key, c in coords.items():
+            _add(out, self._key(key), self._scalar(c))
+        return self._make(out)
 
     def zero(self):
-        return SchurElement(self, {})
+        return FreeElement(self, {})
+
+    def include(self, c):
+        return self.element({self.unit: c})
 
     def one(self):
-        return self.schur_class(())
-
-    def __repr__(self):
-        return (f"FreeModuleOnSchur(n={self.grass.n}, d={self.grass.d} "
-                f"over {self.coeff.base})")
+        return self.include(1)
 
 
-class SchurElement:
+class FreeElement:
+    """An element of a free module: nonzero coefficients by basis key."""
+
     __slots__ = ("module", "coords")
 
     def __init__(self, module, coords):
         self.module = module
         self.coords = coords
 
-    def _check(self, other):
-        if isinstance(other, SchurElement):
-            if not self.module._compatible(other.module):
-                raise InputError("elements of different modules")
-            return other
-        return self.module.element({(): other})
+    def _other(self, other):
+        if not isinstance(other, FreeElement):
+            return self.module.include(other)
+        if not self.module._compatible(other.module):
+            raise InputError("elements of different modules")
+        return other
+
+    def coefficient(self, key):
+        c = self.coords.get(key)
+        return self.module.coeff.zero() if c is None else c
+
+    @property
+    def vec(self):
+        """The coefficients of the whole basis, in basis order."""
+        return [self.coefficient(k) for k in self.module.basis()]
+
+    def at_zero(self):
+        """The coefficient of the unit: for a bundle, the value at x = 0."""
+        return self.coefficient(self.module.unit)
 
     def __add__(self, other):
-        other = self._check(other)
         out = dict(self.coords)
-        for lam, c in other.coords.items():
-            out[lam] = out.get(lam, self.module.coeff.zero()) + c
-        return SchurElement(self.module,
-                            {k: v for k, v in out.items() if not v.is_zero()})
+        for k, c in self._other(other).coords.items():
+            _add(out, k, c)
+        return self.module._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SchurElement(self.module,
-                            {k: -v for k, v in self.coords.items()})
+        return FreeElement(self.module,
+                           {k: -c for k, c in self.coords.items()})
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        return self + (-self._other(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Polynomial)):
-            scale = other if isinstance(other, Polynomial) \
-                else self.module.coeff.const(other)
-            return SchurElement(self.module, {
-                k: v for k, v in
-                ((lam, c * scale) for lam, c in self.coords.items())
-                if not v.is_zero()})
-        other = self._check(other)
+        module = self.module
+        if not isinstance(other, FreeElement):
+            scale = module._scalar(other)
+            return module._make({k: c * scale for k, c in self.coords.items()})
+        other = self._other(other)
         out = {}
         for a, ca in self.coords.items():
             for b, cb in other.coords.items():
-                for lam, k in self.module.grass.multiply(a, b).items():
-                    prev = out.get(lam, self.module.coeff.zero())
-                    out[lam] = prev + ca * cb * k
-        return SchurElement(self.module,
-                            {k: v for k, v in out.items() if not v.is_zero()})
+                prod = ca * cb
+                for k, n in module._times(a, b).items():
+                    _add(out, k, prod if n == 1 else prod * n)
+        return module._make(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, SchurElement):
+        if not isinstance(other, FreeElement):
             return NotImplemented
         return self.module._compatible(other.module) \
             and self.coords == other.coords
@@ -126,30 +140,76 @@ class SchurElement:
     def is_zero(self):
         return not self.coords
 
+    def map_coefficients(self, target, images):
+        """Push every coefficient through a generator assignment."""
+        return target._make({k: c.map_to(target.coeff, images)
+                             for k, c in self.coords.items()})
+
     def __str__(self):
-        if not self.coords:
-            return "0"
         chunks = []
-        for lam in sorted(self.coords, key=lambda t: (sum(t), t)):
-            c = self.coords[lam]
-            label = "D" + "".join(str(x) for x in lam) if lam else "1"
-            chunks.append(f"({c})*{label}" if str(c) != "1" else label)
-        return " + ".join(chunks)
+        for k in sorted(self.coords, key=self.module._print_order):
+            body, label = str(self.coords[k]), self.module._label(k)
+            chunks.append(body if label is None else label if body == "1"
+                          else f"({body})*{label}")
+        return " + ".join(chunks) or "0"
 
     __repr__ = __str__
 
 
-class ProjBundleRing:
+class FreeModuleOnSchur(_FreeModule):
+    """E-linear combinations of Schur classes for a fixed (n, d)."""
+
+    unit = ()
+
+    def __init__(self, coeff, n, d):
+        super().__init__(coeff)
+        self.grass = grassmannian(n, d)
+
+    @property
+    def rank(self):
+        return self.grass.rank
+
+    def basis(self):
+        return self.grass.partitions()
+
+    def _compatible(self, other):
+        return other is self or (isinstance(other, FreeModuleOnSchur)
+                                 and other.coeff is self.coeff
+                                 and other.grass is self.grass)
+
+    def _key(self, partition):
+        return self.grass.check_partition(partition)
+
+    def _times(self, a, b):
+        return self.grass.multiply(a, b)
+
+    @staticmethod
+    def _label(lam):
+        return "D" + "".join(str(x) for x in lam) if lam else "1"
+
+    @staticmethod
+    def _print_order(lam):
+        return sum(lam), lam
+
+    def schur_class(self, partition):
+        return self.element({partition: 1})
+
+    def __repr__(self):
+        return (f"FreeModuleOnSchur(n={self.grass.n}, d={self.grass.d} "
+                f"over {self.coeff.base})")
+
+
+class ProjBundleRing(_FreeModule):
     """base[x] / (x^{r+1} + sum (-1)^i c_i x^{r+1-i}), basis 1..x^r."""
 
+    unit = 0
+
     def __init__(self, base, chern):
-        self.base = base
+        super().__init__(base)
+        self.base = base    # the coefficient ring, named as for a bundle
         self.chern = []
         for i, c in enumerate(chern, start=1):
-            if not isinstance(c, Polynomial):
-                c = base.const(c)
-            elif c.ring is not base:
-                raise InputError("Chern class from a different ring")
+            c = self._scalar(c)
             degree = c.adams_degree()
             if degree is not None and degree != i:
                 raise DegreeMismatch(
@@ -158,169 +218,62 @@ class ProjBundleRing:
             self.chern.append(c)
         self.rank = len(chern)
 
+    def basis(self):
+        return range(self.rank + 1)
+
     def _compatible(self, other):
-        return other is self or (other.base is self.base
+        return other is self or (isinstance(other, ProjBundleRing)
+                                 and other.base is self.base
                                  and other.chern == self.chern)
 
-    def element(self, coeffs):
-        """From a dict power -> base element or a list indexed by power."""
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        vec = [self.base.zero() for _ in range(self.rank + 1)]
-        for k, c in items:
-            if not isinstance(c, Polynomial):
-                c = self.base.const(c)
-            if k < 0:
-                raise InputError("negative powers are not in the ring")
-            if k <= self.rank:
-                vec[k] = vec[k] + c
-            elif not c.is_zero():
-                vec = self._absorb(vec, k, c)
-        return BundleElement(self, vec)
+    @staticmethod
+    def _key(power):
+        if power < 0:
+            raise InputError("negative powers are not in the ring")
+        return power
 
-    def _absorb(self, vec, power, coeff):
-        """Fold coeff * x^power (power > rank) into the basis range."""
-        tail = {power: coeff}
-        while tail:
-            k = max(tail)
-            c = tail.pop(k)
-            if c.is_zero():
-                continue
-            if k <= self.rank:
-                vec[k] = vec[k] + c
-                continue
-            # x^k = x^{k-r-1} * sum (-1)^{i+1} c_i x^{r+1-i}
+    @staticmethod
+    def _times(i, j):
+        return {i + j: 1}
+
+    def _reduce(self, coords):
+        """Fold each power above the rank down, highest first, by
+        x^k = sum (-1)^{i+1} c_i x^{k-i}."""
+        top = max(coords, default=0)
+        while top > self.rank:
+            c = coords.pop(top)
             for i, ci in enumerate(self.chern, start=1):
-                if ci.is_zero():
-                    continue
-                term = ci * c if i % 2 else -(ci * c)
-                kk = k - i
-                tail[kk] = tail.get(kk, self.base.zero()) + term
-        return vec
+                if not ci.is_zero():
+                    _add(coords, top - i, ci * c if i % 2 else -(ci * c))
+            top = max(coords, default=0)
+        return coords
+
+    @staticmethod
+    def _label(power):
+        return None if power == 0 else "x" if power == 1 else f"x^{power}"
+
+    @staticmethod
+    def _print_order(power):
+        return -power
 
     def x(self):
         return self.element({1: 1})
 
-    def one(self):
-        return self.element({0: 1})
-
-    def include(self, c):
-        return self.element({0: c})
-
     def x_matrix(self):
         """Multiplication by x on the basis 1..x^r, columns = images."""
-        cols = []
-        for j in range(self.rank + 1):
-            image = self.element({j + 1: 1})
-            cols.append(image.vec)
-        return [[cols[j][i] for j in range(self.rank + 1)]
-                for i in range(self.rank + 1)]
+        cols = [self.element({j + 1: 1}).vec for j in self.basis()]
+        return [[col[i] for col in cols] for i in self.basis()]
 
     def is_companion(self):
         """Does the x-matrix have companion shape for the relation?"""
-        m = self.x_matrix()
-        r = self.rank
-        for i in range(r + 1):
-            for j in range(r):
-                want = self.base.one() if i == j + 1 else self.base.zero()
-                if m[i][j] != want:
-                    return False
-        for i in range(r + 1):
-            k = r + 1 - i
-            if k < 1 or k > r:
-                want = self.base.zero()
-            else:
-                ck = self.chern[k - 1]
-                want = ck if k % 2 else -ck
-            if m[i][r] != want:
-                return False
-        return True
+        r, zero, one = self.rank, self.base.zero(), self.base.one()
+        signed = [c if k % 2 else -c for k, c in enumerate(self.chern, 1)]
+        want = [[one if i == j + 1 else zero for j in range(r)]
+                + [signed[r - i] if i else zero] for i in range(r + 1)]
+        return self.x_matrix() == want
 
     def __repr__(self):
         return f"ProjBundleRing(rank {self.rank} over {self.base.base})"
-
-
-class BundleElement:
-    __slots__ = ("ring", "vec")
-
-    def __init__(self, ring, vec):
-        self.ring = ring
-        self.vec = vec
-
-    def coefficient(self, power):
-        return self.vec[power]
-
-    def at_zero(self):
-        """Evaluate at x = 0: the constant coefficient."""
-        return self.vec[0]
-
-    def _check(self, other):
-        if isinstance(other, BundleElement):
-            if not self.ring._compatible(other.ring):
-                raise InputError("elements of different bundle rings")
-            return other
-        return self.ring.element({0: other})
-
-    def __add__(self, other):
-        other = self._check(other)
-        return BundleElement(self.ring, [a + b for a, b in
-                                         zip(self.vec, other.vec)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BundleElement(self.ring, [-a for a in self.vec])
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Polynomial)):
-            return BundleElement(self.ring,
-                                 [a * other for a in self.vec])
-        other = self._check(other)
-        out = {}
-        for i, a in enumerate(self.vec):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.vec):
-                if b.is_zero():
-                    continue
-                out[i + j] = out.get(i + j, self.ring.base.zero()) + a * b
-        return self.ring.element(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BundleElement):
-            return NotImplemented
-        return self.ring._compatible(other.ring) and self.vec == other.vec
-
-    def map_coefficients(self, target_bundle, images):
-        """Push every coefficient through a generator assignment."""
-        return BundleElement(target_bundle, [
-            c.map_to(target_bundle.base, images) for c in self.vec])
-
-    def __str__(self):
-        parts = []
-        for k in range(len(self.vec) - 1, -1, -1):
-            c = self.vec[k]
-            if c.is_zero():
-                continue
-            body = str(c)
-            if k == 0:
-                parts.append(body)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                parts.append(xs if body == "1" else f"({body})*{xs}")
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
 
 
 def tautological_bundle(n, d):

@@ -137,8 +137,11 @@ def check_fgl_axioms(order=8, chern_order=10):
                         "results": results}}
 
 
-def _regularity_cases():
-    """The fixed suite of regularity verdicts, one entry per case."""
+def regularity_cases():
+    """The fixed suite of regularity verdicts, one entry per case.
+
+    `tests/test_landweber.py` runs the same table plus its own cases.
+    """
     cases = []
 
     kgl = laurent_ring("Z", "beta")
@@ -190,7 +193,7 @@ def _regularity_cases():
 def check_landweber_suite(seed=0, perturbations=5):
     """Fixed regularity verdicts plus seeded perturbation invariance."""
     failures = []
-    cases = _regularity_cases()
+    cases = regularity_cases()
     for index, case in enumerate(cases):
         sequence = sequence_for_prime(case["law"], case["prime"],
                                       case["height"])

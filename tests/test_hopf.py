@@ -14,15 +14,31 @@ from cobalt.fgl import (
     pushforward,
 )
 from cobalt.hopf import (
+    HopfAlgebroidPresentation,
+    TensorCube,
+    TensorSquare,
     cooperations_poincare,
     induced_hopf,
     mumu_rational_truncated,
-    trivial_hopf_algebroid,
     verify_hopf_axioms,
 )
 from cobalt.rings import laurent_ring, polynomial_ring
 from cobalt.series import TruncSeries
 from cobalt.fgl import universal_log
+
+
+def trivial_hopf_algebroid(specs=(("t", 1),), N=4):
+    """Gamma = A with every structure map the identity."""
+    A = polynomial_ring("Q", list(specs))
+    names = [g.name for g in A.gens]
+    identity = {name: A.gen(name) for name in names}
+    square = TensorSquare(
+        A, {name: ("L", name) for name in names}, dict(identity),
+        dict(identity))
+    cube = TensorCube(A, dict(identity), dict(identity))
+    return HopfAlgebroidPresentation(
+        A, A, dict(identity), dict(identity), dict(identity), N,
+        square, dict(identity), cube, dict(identity))
 
 
 def test_right_unit_fixtures():

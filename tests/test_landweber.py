@@ -25,6 +25,7 @@ from cobalt.rings import (
 )
 
 from cobalt import snf
+from cobalt.verify import regularity_cases
 
 import presentation_oracle
 
@@ -33,54 +34,39 @@ def statuses(verdict):
     return [s.status for s in verdict.stages]
 
 
-# Each `build` function takes the prime and returns (module, law).
-
-def _kgl(p):
-    ring = laurent_ring("Z", "beta")
-    return ModulePresentation.free(ring), fgl_multiplicative(ring)
-
-
-def _lq(p):
-    law = fgl_universal_rational(order=6)
-    return ModulePresentation.free(law.ring), law
-
-
-def _hz(p):
-    ring = polynomial_ring("Z", [])
-    return ModulePresentation.free(ring), fgl_additive(ring)
-
-
-def _z_mod_p(p):
-    ring = polynomial_ring("Z", [])
-    module = ModulePresentation(ring, [("e", 0)], [{"e": p}])
-    return module, fgl_additive(ring)
-
-
-def _ku_local(p):
-    ring = Ring("Z", [], localized_at=p)
-    return ModulePresentation.free(ring), fgl_multiplicative(ring, beta=1)
+# The shared table of `verify-all`, plus the cases it lacks: LQ, HZ and
+# Z/p on the window (-2, 2), and KU_(p).
+def _suite():
+    cases = [(case["label"].split(" p=")[0], case["module"], case["law"],
+              case["prime"], case["height"], case["window"], case["expected"])
+             for case in regularity_cases()]
+    lq = fgl_universal_rational(order=6)
+    cases += [("LQ", ModulePresentation.free(lq.ring), lq, p, 1, (0, 5),
+               ["regular", "quotient_vanishes"]) for p in (2, 3, 5)]
+    integers = polynomial_ring("Z", [])
+    hz = fgl_additive(integers)
+    cases += [("HZ", ModulePresentation.free(integers), hz, p, 1, (-2, 2),
+               ["regular", "fails"]) for p in (2, 3)]
+    cases += [(f"Z/{p} on (-2, 2)",
+               ModulePresentation(integers, [("e", 0)], [{"e": p}]), hz, p, 0,
+               (-2, 2), ["fails"]) for p in (2, 3)]
+    for p in (2, 3):
+        local = Ring("Z", [], localized_at=p)
+        cases.append((f"KU_({p})", ModulePresentation.free(local),
+                      fgl_multiplicative(local, beta=1), p, 1, (-2, 2),
+                      ["regular", "regular"]))
+    return cases
 
 
-# (name, build, prime, height, window, expected stage statuses)
-SUITE = (
-    [("KGL", _kgl, p, 3, (-6, 6),
-      ["regular", "regular", "quotient_vanishes", "quotient_vanishes"])
-     for p in (2, 3, 5)]
-    + [("LQ", _lq, p, 1, (0, 5), ["regular", "quotient_vanishes"])
-       for p in (2, 3, 5)]
-    + [("HZ", _hz, p, 1, (-2, 2), ["regular", "fails"]) for p in (2, 3)]
-    + [(f"Z/{p}", _z_mod_p, p, 0, (-2, 2), ["fails"]) for p in (2, 3)]
-    + [(f"KU_({p})", _ku_local, p, 1, (-2, 2), ["regular", "regular"])
-       for p in (2, 3)]
-)
+# (name, module, law, prime, height, window, expected stage statuses)
+SUITE = _suite()
 
 
 @pytest.mark.parametrize(
-    "name, build, p, height, window, expected", SUITE,
-    ids=[f"{case[0].replace('/', '_')}-{case[2]}" for case in SUITE])
-def test_builtin_suite_all_expected(name, build, p, height, window,
+    "name, module, law, p, height, window, expected", SUITE,
+    ids=[f"{case[0].replace('/', '_')}-{case[3]}" for case in SUITE])
+def test_builtin_suite_all_expected(name, module, law, p, height, window,
                                     expected):
-    module, law = build(p)
     verdict = check_regular(module, sequence_for_prime(law, p, height), p,
                             window)
     assert statuses(verdict) == expected
@@ -231,9 +217,8 @@ def test_perturbation_invariance():
 
 def test_seeded_suite_with_perturbations():
     # two degree-matched perturbations per case, one seeded RNG per case
-    for index, (name, build, p, height, window, expected) in \
+    for index, (name, module, law, p, height, window, expected) in \
             enumerate(SUITE, 1):
-        module, law = build(p)
         seq = sequence_for_prime(law, p, height)
         assert statuses(check_regular(module, seq, p, window)) == expected
         rng = random.Random(42 * 1000003 + index)

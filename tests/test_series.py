@@ -150,7 +150,11 @@ def test_laurent_coefficients():
     assert g.coeff(2) == -b
     assert g.coeff(3) == 2 * b ** 2
     assert g.coeff(4) == -5 * b ** 3
-    assert g.is_homogeneous(series_degree=-1) or True  # b has degree 1
+    assert g.is_homogeneous(series_degree=-1)  # b has degree 1
+    # x + b x^3 puts degree 1 where degree 2 belongs; so does its reversion
+    skewed = TruncSeries(ring, 4, {1: 1, 3: b}).revert()
+    assert skewed.coeff(3) == -b
+    assert not skewed.is_homogeneous(series_degree=-1)
     scaled = f * binv
     assert scaled.coeff(2) == ring.one()
 
