@@ -5,10 +5,14 @@ Given a graded module M over a presented ring and a sequence v_0, v_1,
 on Q_n = M / (v_0..v_{n-1}) M.  Everything is checked degreewise inside
 a finite window of Adams degrees: `rings.degree_lattice` presents each
 degree of Q_n by the multiples of the ring relations, the module
-relations and v_0..v_{n-1}, and injectivity of multiplication becomes
-a comparison of the integer preimage of the target lattice with the
-source lattice, by Smith normal form over Z or Z_(p) and by rational
-rank over Q.
+relations and v_0..v_{n-1}, one block of rows per element group,
+presented once and shared by every stage.  Injectivity of
+multiplication becomes a comparison of the integer preimage of the
+target lattice (a Smith kernel) with the source lattice.  Over Z or
+Z_(p) each (degree, stage) lattice is factored once into an
+`snf.Lattice` echelon, which answers both whether Q_n vanishes there
+and whether each preimage vector lies in the source; over Q both are
+rational ranks.
 
 Stage statuses:
   quotient_vanishes    every window degree of Q_n is zero
@@ -125,45 +129,71 @@ class _Analyzer:
         self.rational = self.ring.base == "Q"
         self.p_local = self.ring.localized_at
         self._monomials = {}
+        self._blocks = {}
         self._lattices = {}
+        self._echelons = {}
 
     # -- presentations -----------------------------------------------------
-
-    def present(self, degree, elements):
-        """degree_lattice of the module in one degree; raises if truncated."""
-        carrier, rows, truncated = degree_lattice(
-            self.ring, degree, self.module.generators, elements, self.bound,
-            self._monomials)
-        if truncated:
-            raise _Truncated()
-        return carrier, rows
 
     def times_generators(self, polys):
         return [(p.adams_degree() + gdeg, {gname: p})
                 for p in polys if not p.is_zero()
                 for gname, gdeg in self.module.generators]
 
-    def elements(self, stage):
-        """Ring relations, module relations and v_0..v_{stage-1}."""
-        return (self.times_generators(self.ring.relations)
-                + self.module.relations
-                + self.times_generators(self.sequence[:stage]))
+    def block(self, degree, k):
+        """Carrier and rows of one element block in one degree: the ring
+        relations times the generators and the module relations when k
+        is None, else v_k times the generators.  Raises if truncated."""
+        key = (degree, k)
+        if key not in self._blocks:
+            if k is None:
+                elements = (self.times_generators(self.ring.relations)
+                            + self.module.relations)
+            else:
+                elements = self.times_generators([self.sequence[k]])
+            carrier, rows, truncated = degree_lattice(
+                self.ring, degree, self.module.generators, elements,
+                self.bound, self._monomials)
+            self._blocks[key] = None if truncated else (carrier, rows)
+        if self._blocks[key] is None:
+            raise _Truncated()
+        return self._blocks[key]
 
     def lattice(self, degree, stage):
-        """Carrier and presentation rows of Q_stage in one degree."""
+        """Carrier and presentation rows of Q_stage in one degree: the
+        relation block, then v_0..v_{stage-1} times the generators."""
         key = (degree, stage)
         if key not in self._lattices:
-            self._lattices[key] = self.present(degree, self.elements(stage))
+            if stage == 0:
+                self._lattices[key] = self.block(degree, None)
+            else:
+                carrier, rows = self.lattice(degree, stage - 1)
+                block = self.block(degree, stage - 1)[1]
+                self._lattices[key] = carrier, rows + block
         return self._lattices[key]
+
+    def echelon(self, degree, stage):
+        """snf.Lattice of the rows of lattice(degree, stage), grown from
+        the echelon of the previous stage."""
+        key = (degree, stage)
+        if key not in self._echelons:
+            carrier, rows = self.lattice(degree, stage)
+            if stage:
+                rows = (self.echelon(degree, stage - 1).rows
+                        + self.block(degree, stage - 1)[1])
+            self._echelons[key] = snf.Lattice(rows, len(carrier))
+        return self._echelons[key]
 
     # -- per-degree component tests ------------------------------------------
 
-    def component_is_zero(self, width, lattice):
-        if width == 0:
+    def component_is_zero(self, degree):
+        carrier, lattice = self.lattice(degree, self._stage)
+        if not carrier:
             return True
         if self.rational:
-            return snf.rational_rank(lattice) == width
-        return snf.quotient_is_zero(width, lattice, p=self.p_local)
+            return snf.rational_rank(lattice) == len(carrier)
+        return self.echelon(degree, self._stage).quotient_is_zero(
+            p=self.p_local)
 
     def injective_at(self, v, degree):
         """Is multiplication by v injective out of this degree?"""
@@ -174,7 +204,7 @@ class _Analyzer:
         _, tgt_lat = self.lattice(degree + shift, self._stage)
         if self.rational and v == v.constant_term():
             return True, None       # a nonzero constant is a unit over Q
-        _, columns = self.present(degree + shift, self.times_generators([v]))
+        _, columns = self.block(degree + shift, self._stage)
         # over Z on every base; its Q or Z_(p) span is the preimage there
         preimage = snf.preimage_lattice([list(r) for r in zip(*columns)],
                                         tgt_lat)
@@ -184,7 +214,8 @@ class _Analyzer:
             if self.rational:
                 inside = snf.rational_rank(src_lat + [x]) == base
             else:
-                inside = snf.lattice_contains(src_lat, x, p=self.p_local)
+                inside = self.echelon(degree, self._stage).contains(
+                    x, p=self.p_local)
             if not inside:
                 return False, x
         return True, None
@@ -197,8 +228,7 @@ class _Analyzer:
         try:
             nonzero = []
             for degree in range(lo, hi + 1):
-                carrier, lattice = self.lattice(degree, n)
-                if not self.component_is_zero(len(carrier), lattice):
+                if not self.component_is_zero(degree):
                     nonzero.append(degree)
             if not nonzero:
                 return StageResult(n, "quotient_vanishes",

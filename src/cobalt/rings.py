@@ -32,9 +32,9 @@ Graded pieces are analyzed degreewise without Groebner bases.
 `degree_lattice` is the one presentation of an Adams degree: monomials
 under an exponent bound, and a row for each monomial multiple of given
 elements that lands there.  Components, Landweber quotients and the
-Hopf collapse check all call it.  For a component one fraction-free
-echelon yields the rank and a monomial basis, and over Z the Smith form
-adds the torsion; a `truncated` flag marks a cut the bound may have
+Hopf collapse check all call it.  For a component one echelon yields
+the rank and a monomial basis, and over Z the same `snf.Lattice` echelon
+gives the torsion; a `truncated` flag marks a cut the bound may have
 made, and when it is off the invariants are exact.
 """
 
@@ -256,9 +256,16 @@ class Ring:
         Every slot's degrees lie in a range fixed by the bound, so the
         remainder after slot t must lie in [lo[t+1], hi[t+1]]; the walk
         loops only over the exponents e whose remainder target - e*d
-        lands there, computed by floor division.  A zero remainder ends
-        the walk when every remaining slot is a generator of positive
-        degree, because all zeros is then its only completion.  The flag
+        lands there, computed by floor division.  When every remaining
+        slot is a plain generator of positive degree, a remainder below
+        their smallest degree ends the walk: all zeros is then the only
+        completion, and only of a zero remainder.  Cutting a branch with
+        0 < target < that degree leaves the flag alone, because the
+        skipped walk would have set nothing: target > 0 needs bound >= 1
+        (the range is [0, 0] when bound = 0), so each skipped slot but
+        the last has hi1 >= bound times its successor's degree > target,
+        and takes e = 0 with no flag; the last slot has e_hi = 0 <= bound
+        and nothing after it, and lists no exponent.  The flag
         is set where a larger exponent reaches a feasible remainder, or
         where an exponent within the bound misses the remainder's range
         on a side that the remaining slots could reach without the bound;
@@ -280,8 +287,10 @@ class Ring:
         slot_hi = [0] * k
         has_pos = [False] * (k + 1)
         has_neg = [False] * (k + 1)
-        # zero_tail[t]: slots t.. are plain generators of positive degree
+        # zero_tail[t]: slots t.. are plain generators of positive degree,
+        # and then tail_min[t] is the smallest of their degrees
         zero_tail = [True] * (k + 1)
+        tail_min = [0] * k + [1]
         for t in range(k - 1, -1, -1):
             i, j, d, e_min = slots[t]
             if j is None:
@@ -295,6 +304,7 @@ class Ring:
             lo[t] = lo[t + 1] + slot_lo[t]
             hi[t] = hi[t + 1] + slot_hi[t]
             zero_tail[t] = zero_tail[t + 1] and j is None and d > 0
+            tail_min[t] = min(d, tail_min[t + 1]) if t + 1 < k else d
         if degree < lo[0] or degree > hi[0]:
             return [], ((degree > hi[0] and has_pos[0])
                         or (degree < lo[0] and has_neg[0]))
@@ -305,8 +315,9 @@ class Ring:
         def rec(t, target):
             # invariant: lo[t] <= target <= hi[t]
             nonlocal active
-            if target == 0 and zero_tail[t]:
-                found.append(tuple(exps))
+            if zero_tail[t] and target < tail_min[t]:
+                if not target:
+                    found.append(tuple(exps))
                 return
             i, j, d, e_min = slots[t]
             lo1, hi1 = lo[t + 1], hi[t + 1]
@@ -661,8 +672,10 @@ def graded_component(ring, degree, exponent_bound=None):
 
     The exponent bound keeps the enumeration finite; when no monomial or
     relation multiple is cut off by it the invariants are exact and
-    `truncated` stays False.  Over a base of Q the torsion list is
-    always empty and ranks are dimensions.
+    `truncated` stays False.  Over Z one snf.Lattice echelon of the
+    relation rows gives both the pivot columns and the torsion.  Over a
+    base of Q the pivots come from snf.pivot_columns, the torsion list
+    is always empty and ranks are dimensions.
     """
     if exponent_bound is None:
         rel_deg = max((abs(r.adams_degree() or 0) for r in ring.relations),
@@ -672,11 +685,13 @@ def graded_component(ring, degree, exponent_bound=None):
         ring, degree, [(None, 0)],
         [(rel.adams_degree(), {None: rel}) for rel in ring.relations],
         exponent_bound)
-    pivots = set(snf.pivot_columns(rows))
+    if ring.base == "Q":
+        pivots, torsion = snf.pivot_columns(rows), []
+    else:
+        lattice = snf.Lattice(rows, len(carrier))
+        pivots, torsion = lattice.pivots, lattice.torsion()
+    pivots = set(pivots)
     free = len(carrier) - len(pivots)
-    torsion = []
-    if ring.base != "Q" and rows:
-        torsion = [d for d in snf.smith_normal_form(rows).divisors if d > 1]
     basis = [m for i, (_, m) in enumerate(carrier) if i not in pivots]
     note = "exponent bound was active; invariants may be incomplete" \
         if truncated else ""

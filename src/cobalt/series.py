@@ -314,11 +314,8 @@ class TruncSeries:
         With the variables in Adams degree -1 this says the whole series
         transforms as a class of the given degree.
         """
-        for k, c in self.coeffs.items():
-            d = c.adams_degree()
-            if d is not None and d != series_degree + sum(k):
-                return False
-        return True
+        return all(c == c.homogeneous_part(series_degree + sum(k))
+                   for k, c in self.coeffs.items())
 
     def __str__(self):
         self._require_univariate("printing")

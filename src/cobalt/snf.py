@@ -2,12 +2,16 @@
 
 Matrices are lists of row lists with Python int entries (arbitrary
 precision); rational matrices may also hold fractions.Fraction entries.
-Two kernels do all the work:
+Three kernels do all the work:
 
 - smith_normal_form returns the elementary divisors together with the
   unimodular transforms U and V, U * matrix * V diagonal.  Kernels,
-  integer and p-local solutions, lattice membership and quotient
-  invariants are read off it.
+  integer and p-local solutions and preimages are read off it, and so
+  are the one-shot lattice_contains and quotient_invariants.
+- Lattice factors a lattice once into a row echelon over Z with
+  positive pivots and no transforms, and answers membership (p-locally
+  if asked), whether the quotient vanishes, the pivot columns and the
+  torsion from it.  A lattice asked several questions is built once.
 - pivot_columns is a fraction-free row echelon: rows are cleared of
   denominators by integer_rows and eliminated over Z.  Rank, pivots and
   rational spans are phrased through it.
@@ -161,6 +165,111 @@ def smith_normal_form(matrix):
 
     divisors.extend([0] * (min(m, n) - len(divisors)))
     return SmithForm(divisors, m, n, u, v)
+
+
+class Lattice:
+    """The sublattice of Z^width spanned by `gens`, as a row echelon.
+
+    The rows are computed once, with no transform matrices: column by
+    column, the rows that reach a column are combined by Euclid's
+    algorithm until one is left, and its pivot is made positive (the
+    echelon half of the Hermite form; Cohen, GTM 138, section 2.4).  The
+    rows are independent and span the same lattice as `gens`, so each
+    question below is answered from them alone.  `pivots` holds the
+    pivot columns and `leads` the pivot entries, all positive.
+
+    >>> lat = Lattice([[2, 4], [6, 8]], 2)
+    >>> lat.rows, lat.pivots
+    ([[2, 4], [0, 4]], [0, 1])
+    >>> lat.contains([4, 4]), lat.contains([1, 0]), lat.contains([1, 0], p=3)
+    (True, False, True)
+    >>> lat.quotient_is_zero(p=3), lat.torsion()
+    (True, [2, 4])
+    """
+
+    def __init__(self, gens, width):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+        active = [list(map(int, g)) for g in gens if any(g)]
+        for col in range(width):
+            if not active:
+                break
+            hit = [row for row in active if row[col]]
+            if not hit:
+                continue
+            active = [row for row in active if not row[col]]
+            while len(hit) > 1:
+                top = min(hit, key=lambda row: abs(row[col]))
+                left = [top]
+                for row in hit:
+                    if row is top:
+                        continue
+                    q = row[col] // top[col]
+                    row = [x - q * y for x, y in zip(row, top)]
+                    if row[col]:
+                        left.append(row)
+                    elif any(row):
+                        active.append(row)
+                hit = left
+            top = hit[0]
+            self.rows.append(top if top[col] > 0 else [-x for x in top])
+            self.pivots.append(col)
+        self.leads = [row[col] for row, col in zip(self.rows, self.pivots)]
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def contains(self, vec, p=None):
+        """Is vec in the lattice, or with p set, is c*vec for some c
+        coprime to p?
+
+        vec is reduced against the rows in pivot order; it lies in the
+        lattice iff every pivot divides what is left in its column and
+        nothing is left at the end.  With p set, a pivot whose p-part
+        divides the entry is made to divide it by scaling vec with a
+        factor coprime to p.
+        """
+        vec = list(vec)
+        for row, col in zip(self.rows, self.pivots):
+            x, d = vec[col], row[col]
+            if not x:
+                continue
+            if x % d:
+                scale = d // gcd(x, d)
+                if p is None or scale % p == 0:
+                    return False
+                vec = [scale * y for y in vec]
+                x *= scale
+            q = x // d
+            vec = [y - q * z for y, z in zip(vec, row)]
+        return not any(vec)
+
+    def quotient_is_zero(self, p=None):
+        """Is Z^width / lattice zero (localized at p when p is set)?
+
+        It is when the rank is the width and every pivot is 1 (prime to
+        p): the rows are then square and triangular, so the quotient's
+        order is the product of the pivots.
+        """
+        if self.rank < self.width:
+            return False
+        if p is None:
+            return all(d == 1 for d in self.leads)
+        return all(d % p for d in self.leads)
+
+    def torsion(self):
+        """The elementary divisors > 1 of Z^width / lattice.
+
+        None when every pivot is 1: the rows and the unit vectors of the
+        other columns then form a triangular basis of Z^width, so the
+        quotient is free.
+        Otherwise they are the Smith divisors of the echelon rows.
+        """
+        if all(d == 1 for d in self.leads):
+            return []
+        return [d for d in smith_normal_form(self.rows).divisors if d > 1]
 
 
 def kernel_basis(matrix):

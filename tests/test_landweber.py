@@ -13,6 +13,7 @@ from cobalt.landweber import (
     _Truncated,
     check_exact,
     check_regular,
+    default_exponent_bound,
     perturb_sequence,
     sequence_for_prime,
 )
@@ -266,6 +267,15 @@ def _homogeneous(data, ring, degree):
     return Polynomial(ring, dict(zip(monos, coeffs)))
 
 
+def _elements(analyzer, stage):
+    """The elements of one stage in the order the analyzer presents them:
+    ring relations times the generators, module relations, then v_0..
+    v_{stage-1} times the generators."""
+    return (analyzer.times_generators(analyzer.ring.relations)
+            + analyzer.module.relations
+            + analyzer.times_generators(analyzer.sequence[:stage]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_degree_lattice_matches_oracle(data):
@@ -291,7 +301,7 @@ def test_degree_lattice_matches_oracle(data):
 
     analyzer = _Analyzer(module, sequence, (degree, degree), bound)
     carrier, rows, truncated = degree_lattice(
-        ring, degree, module.generators, analyzer.elements(stage), bound)
+        ring, degree, module.generators, _elements(analyzer, stage), bound)
     try:
         expected = presentation_oracle.lattice(module, sequence, degree,
                                                stage, bound)
@@ -303,3 +313,27 @@ def test_degree_lattice_matches_oracle(data):
     assert not truncated
     assert (carrier, rows) == expected
     assert analyzer.lattice(degree, stage) == expected
+
+
+@pytest.mark.parametrize("case", regularity_cases(),
+                         ids=lambda case: case["label"])
+def test_block_lattices_match_one_call(case):
+    """Stage by stage, the analyzer's block-built presentation has exactly
+    the rows one degree_lattice call over all of the stage's elements
+    gives; the row order fixes the kernel basis, hence the witnesses."""
+    module = case["module"]
+    sequence = sequence_for_prime(case["law"], case["prime"], case["height"])
+    lo, hi = case["window"]
+    bound = default_exponent_bound(module, sequence, case["window"])
+    analyzer = _Analyzer(module, sequence, case["window"], bound)
+    for stage in range(len(sequence) + 1):
+        for degree in range(lo, hi + 1):
+            carrier, rows, truncated = degree_lattice(
+                module.ring, degree, module.generators,
+                _elements(analyzer, stage), bound)
+            assert not truncated
+            assert analyzer.lattice(degree, stage) == (carrier, rows)
+            if module.ring.base == "Z":
+                echelon = analyzer.echelon(degree, stage)
+                assert echelon.quotient_is_zero() == \
+                    snf.quotient_is_zero(len(carrier), rows)

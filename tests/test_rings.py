@@ -24,6 +24,8 @@ from cobalt.rings import (
     polynomial_ring,
 )
 
+from cobalt import snf
+
 from monomial_oracle import monomials_of_degree as oracle_monomials_of_degree
 from mseries_oracle import _times, normal_form
 
@@ -216,6 +218,49 @@ def test_graded_component_skips_a_zero_relation():
     before = graded_component(ring, 4)
     ring.impose(ring.zero())
     assert graded_component(ring, 4) == before
+
+
+def _old_component(ring, degree):
+    """Free rank, torsion and basis by the route graded_component took
+    before snf.Lattice: pivot_columns, then a Smith form of all rows."""
+    rel_deg = max((abs(r.adams_degree() or 0) for r in ring.relations),
+                  default=0)
+    carrier, rows, truncated = degree_lattice(
+        ring, degree, [(None, 0)],
+        [(rel.adams_degree(), {None: rel}) for rel in ring.relations],
+        max(1, abs(degree) + rel_deg))
+    pivots = set(snf.pivot_columns(rows))
+    torsion = [d for d in snf.smith_normal_form(rows).divisors if d > 1] \
+        if rows else []
+    basis = [m for i, (_, m) in enumerate(carrier) if i not in pivots]
+    return len(carrier) - len(pivots), torsion, basis, truncated
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graded_component_matches_the_smith_route(data):
+    """Over Z, with relations that leave torsion (c * monomial plus a
+    multiple of another monomial of the same degree), every component
+    of degree 0..5 agrees with the pivot_columns + Smith form route."""
+    degrees = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ring = polynomial_ring("Z", [(f"x{i}", d) for i, d in enumerate(degrees)])
+    for _ in range(data.draw(st.integers(1, 3))):
+        rel_degree = data.draw(st.integers(1, 4))
+        monos, _ = ring.monomials_of_degree(rel_degree, rel_degree)
+        if not monos:
+            continue
+        terms = {}
+        for m in data.draw(st.lists(st.sampled_from(monos), min_size=1,
+                                    max_size=3)):
+            terms[m] = terms.get(m, 0) + data.draw(
+                st.sampled_from([-4, -3, -2, 2, 3, 4, 6, 1]))
+        rel = ring.poly(terms)
+        if not rel.is_zero():
+            ring.impose(rel)
+    for degree in range(6):
+        report = graded_component(ring, degree)
+        assert (report.free_rank, report.torsion, report.basis,
+                report.truncated) == _old_component(ring, degree)
 
 
 def test_degree_lattice_without_generators_sorts_the_reached_terms():

@@ -141,6 +141,14 @@ def test_homogeneity_convention():
     assert not bad.is_homogeneous()
 
 
+def test_mixed_degree_coefficient_is_not_homogeneous():
+    ring = laurent_ring("Q", "b")
+    b = ring.gen("b")
+    mixed = TruncSeries(ring, 3, {1: 1, 2: b + b ** 2})
+    assert not mixed.is_homogeneous()
+    assert TruncSeries(ring, 3, {1: 1, 2: b}).is_homogeneous()
+
+
 def test_laurent_coefficients():
     ring = laurent_ring("Q", "b")
     b, binv = ring.gen("b"), ring.gen("b_inv")

@@ -292,3 +292,66 @@ def test_p_saturation_membership(case, p):
     gens, v = case
     sat = snf.p_saturation(gens, len(v), p)
     assert snf.lattice_contains(sat, v) == snf.lattice_contains(gens, v, p=p)
+
+
+def _lattice_cases():
+    """(gens, width, vec): at most 8 generators in Z^width, width <= 8.
+
+    vec is drawn freely, or is k times an integer combination of the
+    generators for a drawn k in 0..6, so it often lies in the lattice
+    over Z_(p) but not over Z.
+    """
+    def build(shape):
+        m, n = shape
+        return st.tuples(st.lists(_vectors(n), min_size=m, max_size=m),
+                         st.just(n), _vectors(n),
+                         st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                         st.integers(0, 6), st.booleans())
+
+    def join(case):
+        gens, n, vec, coeffs, k, combine = case
+        if combine:
+            vec = [k * sum(c * g[j] for c, g in zip(coeffs, gens))
+                   for j in range(n)]
+        return gens, n, vec
+
+    shapes = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    return shapes.flatmap(build).map(join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_cases(), _primes)
+def test_lattice_certificate(case, p):
+    gens, width, vec = case
+    lattice = snf.Lattice(gens, width)
+    # echelon shape with positive pivots
+    assert len(lattice.rows) == len(lattice.pivots) == lattice.rank
+    assert lattice.pivots == sorted(set(lattice.pivots))
+    for row, col in zip(lattice.rows, lattice.pivots):
+        assert len(row) == width and row[col] > 0 and not any(row[:col])
+    assert lattice.pivots == snf.pivot_columns(gens)
+    # the same lattice: every input row reduces to zero, and every
+    # echelon row solves gens^T x = row over Z
+    assert all(lattice.contains(g) for g in gens)
+    for row in lattice.rows:
+        assert snf.solve_int(snf.columns_matrix(gens, width), row) is not None
+    assert lattice.contains(vec, p) == snf.lattice_contains(gens, vec, p)
+    assert lattice.quotient_is_zero(p) == \
+        snf.quotient_is_zero(width, gens, p)
+    assert lattice.torsion() == \
+        [d for d in snf.smith_normal_form(gens).divisors if d > 1]
+
+
+def test_lattice_edges():
+    empty = snf.Lattice([], 3)
+    assert (empty.rows, empty.pivots, empty.torsion()) == ([], [], [])
+    assert empty.contains([0, 0, 0]) and not empty.contains([0, 1, 0], p=2)
+    assert not empty.quotient_is_zero()
+    assert snf.Lattice([], 0).quotient_is_zero()
+    assert snf.Lattice([[0, 0], [0, 0]], 2).rank == 0
+    unit = snf.Lattice([[3, 1], [2, 1]], 2)
+    assert unit.leads == [1, 1] and unit.quotient_is_zero()
+    assert unit.torsion() == []
+    two = snf.Lattice([[2, 0], [0, 3]], 2)
+    assert not two.quotient_is_zero() and not two.quotient_is_zero(p=2)
+    assert two.quotient_is_zero(p=5) and two.torsion() == [6]
