@@ -74,10 +74,23 @@ LAURENT_COEFF = {"base": "Z",
                                  "invertible": True}],
                  "relations": []}
 
+# Z[beta, 1/beta] with generators in degrees 0 and 1: products cross the
+# signed beta field, and p = 2, 3 fail at stage 0 while p = 5 is regular
+LAURENT_MODULE = {
+    "ring": {"base": "Z",
+             "generators": [{"name": "beta", "adams_degree": 1,
+                             "invertible": True}],
+             "relations": []},
+    "generators": [{"name": "e", "adams_degree": 0},
+                   {"name": "f", "adams_degree": 1}],
+    "relations": [{"e": "2*beta", "f": "4"}, {"f": "6*beta^2"}],
+}
+
 INPUT_FILES = {"law": LAW_FILE, "torsion": TORSION_MODULE,
                "rational": RATIONAL_MODULE, "additive": ADDITIVE_LAW_FILE,
                "degree_zero": DEGREE_ZERO_MODULE,
-               "laurent_coeff": LAURENT_COEFF}
+               "laurent_coeff": LAURENT_COEFF,
+               "laurent_module": LAURENT_MODULE}
 
 
 def _fgl_commands():
@@ -131,6 +144,12 @@ COMMANDS = _fgl_commands() + [
     ["oriented", "--n", "5", "--d", "2"],
     ["oriented", "--coeff", "{laurent_coeff}", "--n", "4", "--d", "2",
      "--thom"],
+    # the presentations behind graded components, Landweber stages and
+    # the Hopf collapse check
+    ["landweber", "--module", "{laurent_module}", "--law", "multiplicative",
+     "--primes", "2,3,5", "--height", "2", "--window", "-3:3"],
+    ["hopf", "--N", "4", "--induced", "{law}"],
+    ["verify-all", "--seed", "7"],
 ]
 
 
