@@ -274,16 +274,20 @@ class InducedHopf:
         |degree| + 2.  The bound can only hide a witness combination,
         never invent one, so a positive answer is exact.
         """
-        ideal = [(h.adams_degree(), {None: h}) for h in self.relations + [
-            self.ring.gen(f"b{i}") for i in range(1, self.N)
-            if f"b{i}" in self.ring.index]]
+        ring = self.ring
+        # the relations are the last ones `induced_hopf` imposed
+        degrees = ring.relation_degrees[len(ring.relations)
+                                        - len(self.relations):]
+        ideal = [(d, {None: h}) for h, d in zip(self.relations, degrees)]
+        ideal += [(i, {None: ring.gen(f"b{i}")}) for i in range(1, self.N)
+                  if f"b{i}" in ring.index]
         for gname, image_l in self.eta_L.items():
             delta = image_l - self.eta_R[gname]
             if delta.is_zero():
                 continue
             degree = delta.adams_degree()
             carrier, columns, _ = degree_lattice(
-                self.ring, degree, None, ideal, abs(degree) + 2)
+                ring, degree, None, ideal, abs(degree) + 2)
             terms = delta.exponent_terms()
             if not {m for _, m in carrier}.issuperset(terms):
                 return False

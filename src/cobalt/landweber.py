@@ -128,16 +128,19 @@ class _Analyzer:
         self.bound = bound
         self.rational = self.ring.base == "Q"
         self.p_local = self.ring.localized_at
-        self._monomials = {}
         self._blocks = {}
         self._lattices = {}
         self._echelons = {}
 
     # -- presentations -----------------------------------------------------
 
-    def times_generators(self, polys):
-        return [(p.adams_degree() + gdeg, {gname: p})
-                for p in polys if not p.is_zero()
+    def times_generators(self, polys, degrees=None):
+        """(degree, {generator: p}) for each nonzero p and generator; the
+        degrees of `polys`, when given, are not derived again."""
+        if degrees is None:
+            degrees = [p.adams_degree() for p in polys]
+        return [(d + gdeg, {gname: p})
+                for p, d in zip(polys, degrees) if d is not None
                 for gname, gdeg in self.module.generators]
 
     def block(self, degree, k):
@@ -147,13 +150,14 @@ class _Analyzer:
         key = (degree, k)
         if key not in self._blocks:
             if k is None:
-                elements = (self.times_generators(self.ring.relations)
-                            + self.module.relations)
+                elements = (self.times_generators(
+                    self.ring.relations, self.ring.relation_degrees)
+                    + self.module.relations)
             else:
                 elements = self.times_generators([self.sequence[k]])
             carrier, rows, truncated = degree_lattice(
                 self.ring, degree, self.module.generators, elements,
-                self.bound, self._monomials)
+                self.bound)
             self._blocks[key] = None if truncated else (carrier, rows)
         if self._blocks[key] is None:
             raise _Truncated()
@@ -265,7 +269,7 @@ def default_exponent_bound(module, sequence, window):
     span = max(abs(window[0]), abs(window[1]), 1)
     vdeg = max((abs(v.adams_degree() or 0) for v in sequence
                 if not v.is_zero()), default=0)
-    rdeg = max((abs(r.adams_degree() or 0) for r in module.ring.relations),
+    rdeg = max((abs(d or 0) for d in module.ring.relation_degrees),
                default=0)
     gdeg = max((abs(d) for _, d in module.generators), default=0)
     return span + vdeg + rdeg + gdeg + 2

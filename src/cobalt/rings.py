@@ -12,10 +12,10 @@ share one signed field, so the key of a product is ka + kb - offset and
 g * g_inv cancels in the addition.  Exponent tuples, indexed by
 generator position and in normal form, appear only at the boundary: the
 constructor, `exponent_terms`, printing, monomial enumeration and the
-carriers of `degree_lattice`.  The README's design note covers widths,
-widening and the signed fields.  Everything is immutable in spirit:
-operations build new values, and a ring is frozen once its relations
-are imposed.
+carriers `degree_lattice` hands out.  The README's design note covers
+widths, widening and the signed fields.  Everything is immutable in
+spirit: operations build new values, and a ring is frozen once its
+relations are imposed.
 
 Coefficients have one canonical form over either base: an `int` when
 the value is integral and a `Fraction` only when it is not, so integral
@@ -32,10 +32,14 @@ Graded pieces are analyzed degreewise without Groebner bases.
 `degree_lattice` is the one presentation of an Adams degree: monomials
 under an exponent bound, and a row for each monomial multiple of given
 elements that lands there.  Components, Landweber quotients and the
-Hopf collapse check all call it.  For a component one echelon yields
-the rank and a monomial basis, and over Z the same `snf.Lattice` echelon
-gives the torsion; a `truncated` flag marks a cut the bound may have
-made, and when it is off the invariants are exact.
+Hopf collapse check all call it.  It builds each row by shifting the
+element's packed keys by the monomial's key, and decodes only the keys
+of its carrier; each ring memoizes its enumerations for it, and
+`Ring.impose` records the relation degrees its callers read.  For a
+component one echelon yields the rank and a monomial basis, and over Z
+the same `snf.Lattice` echelon gives the torsion; a `truncated` flag
+marks a cut the bound may have made, and when it is off the invariants
+are exact.
 """
 
 from dataclasses import dataclass, field
@@ -148,7 +152,11 @@ class Ring:
         self.gens.extend(expanded)
         self.index = {g.name: i for i, g in enumerate(self.gens)}
         self.relations = []
+        self.relation_degrees = []          # parallel; None for a zero one
         self.pack = _Packing(self, 16)      # widened as exponents grow
+        # (degree, bound) -> [monomials, flag, packing, keys in it], read
+        # by degree_lattice only
+        self._enumerations = {}
 
     # -- packing ------------------------------------------------------------
 
@@ -219,6 +227,7 @@ class Ring:
                         f"relation {rel} mixes degrees {deg} and {d}",
                         term=self._monomial_str(exps))
             self.relations.append(rel)
+            self.relation_degrees.append(deg)
         return self
 
     # -- monomials ----------------------------------------------------------
@@ -612,7 +621,20 @@ class GradedComponentReport:
     note: str = ""
 
 
-def degree_lattice(ring, degree, generators, elements, bound, cache=None):
+def _enumeration(ring, degree, bound):
+    """(monomials, flag, keys) of `monomials_of_degree(degree, bound)`,
+    the keys in the ring's current packing.  Each ring lists a (degree,
+    bound) pair once; its keys are taken again after a widening."""
+    entry = ring._enumerations.get((degree, bound))
+    if entry is None:
+        entry = ring._enumerations[degree, bound] = [
+            *ring.monomials_of_degree(degree, bound), None, None]
+    if entry[2] is not ring.pack:
+        entry[2], entry[3] = ring.pack, list(map(ring.pack.key, entry[0]))
+    return entry[0], entry[1], entry[3]
+
+
+def degree_lattice(ring, degree, generators, elements, bound):
     """(carrier, rows, truncated) presenting one degree of a graded module.
 
     The module is free on `generators`, (name, degree) pairs, modulo the
@@ -622,43 +644,50 @@ def degree_lattice(ring, degree, generators, elements, bound, cache=None):
     generators None every coordinate a row reaches, sorted.  Each row is
     one monomial multiple of an element.  A product term outside the
     carrier is appended to it; that, or an enumeration the bound may
-    have cut short, sets `truncated`.  A `cache` dict kept across calls
-    under one bound enumerates each degree offset once.
+    have cut short, sets `truncated`.
+
+    Inside, coordinates are (name, key) pairs: the ring is first widened
+    until the bound is a stored exponent, so the row of monomial m times
+    an element is the element's terms shifted by km - offset, exact, and
+    only carrier keys are decoded to exponent tuples.  The ring's memo
+    of enumerations serves every call on it.
     """
-    cache = {} if cache is None else cache
-
-    def monomials(d):
-        if d not in cache:
-            monos, flag = ring.monomials_of_degree(d, bound)
-            cache[d] = monos, flag, [ring.poly({m: 1}) for m in monos]
-        return cache[d]
-
+    while bound >> (ring.pack.width - 2):
+        ring.widen(2 * ring.pack.width)
+    pack = ring.pack
     truncated = False
     carrier = []
+    position = {}
     for name, gdeg in generators or ():
-        monos, flag, _ = monomials(degree - gdeg)
+        monos, flag, keys = _enumeration(ring, degree - gdeg, bound)
         truncated = truncated or flag
+        position.update(((name, k), i)
+                        for i, k in enumerate(keys, len(carrier)))
         carrier.extend((name, m) for m in monos)
     sparse = []     # rows stay dicts until the carrier stops growing
     for edeg, element in elements:
         if edeg is None:
             continue
-        _, flag, polys = monomials(degree - edeg)
+        _, flag, keys = _enumeration(ring, degree - edeg, bound)
         truncated = truncated or flag
-        for m in polys:
-            row = {}
-            for name, poly in element.items():
-                for exps, c in (m * poly).exponent_terms().items():
-                    row[name, exps] = row.get((name, exps), 0) + c
-            sparse.append(row)
+        ring.align(*element.values())
+        shifted = [(name, [(k - pack.offset, c)
+                           for k, c in poly.terms.items()])
+                   for name, poly in element.items()]
+        for km in keys:
+            sparse.append({(name, km + k): c
+                           for name, terms in shifted for k, c in terms})
     if generators is None:
-        carrier = sorted({key for row in sparse for key in row})
-    position = {key: i for i, key in enumerate(carrier)}
+        reached = sorted((name, pack.exponents(k), k)
+                         for name, k in {key for row in sparse
+                                         for key in row})
+        carrier = [(name, m) for name, m, _ in reached]
+        position = {(name, k): i for i, (name, _, k) in enumerate(reached)}
     for row in sparse:
         for key in row:
             if key not in position:
                 position[key] = len(carrier)
-                carrier.append(key)
+                carrier.append((key[0], pack.exponents(key[1])))
                 truncated = True
     rows = [[0] * len(carrier) for _ in sparse]
     for dense, row in zip(rows, sparse):
@@ -678,12 +707,13 @@ def graded_component(ring, degree, exponent_bound=None):
     is always empty and ranks are dimensions.
     """
     if exponent_bound is None:
-        rel_deg = max((abs(r.adams_degree() or 0) for r in ring.relations),
+        rel_deg = max((abs(d or 0) for d in ring.relation_degrees),
                       default=0)
         exponent_bound = max(1, abs(degree) + rel_deg)
     carrier, rows, truncated = degree_lattice(
         ring, degree, [(None, 0)],
-        [(rel.adams_degree(), {None: rel}) for rel in ring.relations],
+        [(d, {None: rel})
+         for rel, d in zip(ring.relations, ring.relation_degrees)],
         exponent_bound)
     if ring.base == "Q":
         pivots, torsion = snf.pivot_columns(rows), []
@@ -701,6 +731,31 @@ def graded_component(ring, degree, exponent_bound=None):
 # -- expression parser ------------------------------------------------------------
 
 _OPS = set("+-*^()")
+
+# The parser refuses a power whose last squaring would multiply more
+# term pairs than this (a fixed bound, not an option).
+MAX_POWER_PAIRS = 10 ** 6
+
+
+def _power_too_large(terms, k):
+    """Whether a `terms`-term base to the k-th power is refused.
+
+    Powering squares base^ceil(k/2), which has at most C(ceil(k/2) + t -
+    1, t - 1) terms for t = `terms`, the monomials of that degree in t
+    letters; that count, squared, is compared with MAX_POWER_PAIRS.  It
+    is built as C(m + i, i) for i = 1..min(t - 1, ceil(k/2)), m fixed,
+    which never falls, so the loop stops at the first value past the
+    bound however large k is.
+    """
+    half = (k + 1) // 2
+    r = min(terms - 1, half)
+    m = half + terms - 1 - r
+    c = 1
+    for i in range(1, r + 1):
+        c = c * (m + i) // i
+        if c * c > MAX_POWER_PAIRS:
+            return True
+    return False
 
 
 def _tokenize(text):
@@ -722,7 +777,13 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # a digit int() refuses, such as "²", or
+                # more digits than the interpreter converts
+                raise ExpressionSyntaxError(
+                    "unreadable integer literal", i, text) from None
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -741,8 +802,9 @@ def parse_expression(text, ring):
     """Parse `text` into a Polynomial over `ring`.
 
     Grammar: integer literals, generator names, +, -, *, ^ with positive
-    integer exponents, and parentheses.  Division and unknown
-    identifiers are rejected with the offending column.
+    integer exponents, and parentheses.  Division, unknown identifiers
+    and a power past `MAX_POWER_PAIRS` are rejected with the offending
+    column.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -789,6 +851,11 @@ def parse_expression(text, ring):
             if tok[1] <= 0:
                 raise ExpressionSyntaxError(
                     "exponents must be positive integers", tok[2], text)
+            if _power_too_large(len(value.terms), tok[1]):
+                raise ExpressionSyntaxError(
+                    f"a {len(value.terms)}-term base to the power "
+                    f"{tok[1]} would multiply more than {MAX_POWER_PAIRS} "
+                    "term pairs", tok[2], text)
             value = value ** tok[1]
         return value if sign == 1 else -value
 

@@ -8,8 +8,10 @@ Adams degree: coordinates are (generator, monomial) pairs, and the rows
 are the monomial multiples of the ring relations times each generator,
 of the module relations, and of v_0..v_{n-1} times each generator, in
 that order.  Any enumeration the exponent bound cut short, or any
-product that leaves the coordinates, raises `Truncated`.  The property
-test in `test_landweber.py` compares the production routine with it.
+product that leaves the coordinates, raises `Truncated`.  `reached`
+presents a degree with no fixed coordinates, as the Hopf collapse check
+does.  The property test in `test_landweber.py` compares the production
+routine, which works on packed keys, with these tuple-built routes.
 """
 
 from cobalt.rings import Polynomial
@@ -77,3 +79,27 @@ def lattice(module, sequence, degree, stage, bound):
         for gname, gdeg in module.generators:
             monomial_multiples(v, gname, gdeg)
     return items, vecs
+
+
+def reached(ring, degree, elements, bound):
+    """(carrier, rows, flagged) of the monomial multiples of `elements`,
+    (degree, {name: Polynomial}) pairs, in one degree with no fixed
+    coordinates: the carrier is every (name, monomial) a row reaches,
+    sorted, and `flagged` says whether the bound cut an enumeration."""
+    flagged = False
+    products = []
+    for edeg, element in elements:
+        if edeg is None:
+            continue
+        monos, flag = ring.monomials_of_degree(degree - edeg, bound)
+        flagged = flagged or flag
+        for m in monos:
+            row = {}
+            for name, poly in element.items():
+                prod = Polynomial(ring, {m: 1}) * poly
+                for exps, c in prod.exponent_terms().items():
+                    row[name, exps] = row.get((name, exps), 0) + c
+            products.append(row)
+    carrier = sorted({key for row in products for key in row})
+    rows = [[row.get(key, 0) for key in carrier] for row in products]
+    return carrier, rows, flagged

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -477,6 +478,44 @@ def test_exact_must_be_a_boolean(capsys, tmp_path):
         "coefficients": [{"i": 1, "j": 1, "value": "-beta"}]}))
     _refused(capsys, ["landweber", "--law", str(path), "--primes", "2",
                       "--height", "2", "--window", "0:4"], "'exact'")
+
+
+def _power_module(tmp_path, relation):
+    return _module_file(tmp_path, {
+        "ring": {"base": "Z",
+                 "generators": [{"name": "s", "adams_degree": 1},
+                                {"name": "t", "adams_degree": 1}],
+                 "relations": [relation]}})
+
+
+def test_a_power_past_the_term_pair_bound_is_refused(capsys, tmp_path):
+    # the last squaring of (s+t)^5000 multiplies 2501^2 term pairs
+    module = _power_module(tmp_path, "(s+t)^5000")
+    start = time.perf_counter()
+    _refused(capsys, ["landweber", "--law", "additive", "--module", module,
+                      "--primes", "2", "--height", "0", "--window", "0:2"],
+             "at column 7")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("relation", ["s^" + "9" * 5000, "s^²"])
+def test_an_unreadable_integer_literal_is_refused(capsys, tmp_path,
+                                                  relation):
+    module = _power_module(tmp_path, relation)
+    _refused(capsys, ["landweber", "--law", "additive", "--module", module,
+                      "--primes", "2", "--height", "0", "--window", "0:2"],
+             "unreadable integer literal (at column 3)")
+
+
+@pytest.mark.parametrize("relation", ["(s+t)^500", "t^5000"])
+def test_a_power_within_the_term_pair_bound_parses(capsys, tmp_path,
+                                                   relation):
+    code, report = run_json(
+        capsys, "landweber", "--law", "additive", "--module",
+        _power_module(tmp_path, relation), "--primes", "2", "--height", "0",
+        "--window", "0:2")
+    assert code == 0
+    assert report["exact"]
 
 
 # -- the option table against the old argparse front end ------------------

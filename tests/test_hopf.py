@@ -22,7 +22,7 @@ from cobalt.hopf import (
     mumu_rational_truncated,
     verify_hopf_axioms,
 )
-from cobalt.rings import laurent_ring, polynomial_ring
+from cobalt.rings import GenSpec, Ring, laurent_ring, polynomial_ring
 from cobalt.series import TruncSeries
 from cobalt.fgl import universal_log
 
@@ -220,6 +220,26 @@ def test_collapse_identifies_units():
     report = ih.to_dict()
     assert report["truncation"] == 4
     assert any("b1" in r for r in report["relations"])
+
+
+def test_induced_relations_are_the_last_imposed():
+    """The collapse check reads its relations' degrees from the ring,
+    where induced_hopf imposed them last, after both copies of the
+    algebra's own relations."""
+    A = Ring("Q", [GenSpec("beta", 1, True), GenSpec("t", 2)])
+    A.impose("t - 3*beta^2")
+    ih = induced_hopf(A, fgl_multiplicative(A, order=5), 4)
+    assert ih.relations
+    assert ih.ring.relations[2:] == ih.relations
+    assert ih.ring.relation_degrees[2:] == \
+        [p.adams_degree() for p in ih.relations]
+    # a zero relation of the algebra puts two degrees None first, and
+    # the collapse check still pairs each of its relations with its own
+    A = laurent_ring("Q", "beta")
+    A.impose(A.zero())
+    ih = induced_hopf(A, fgl_multiplicative(A, order=5), 4)
+    assert ih.ring.relation_degrees[:2] == [None, None]
+    assert ih.collapse_identifies_units()
 
 
 def test_induced_rejects_bad_law():

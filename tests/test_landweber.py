@@ -18,6 +18,7 @@ from cobalt.landweber import (
     sequence_for_prime,
 )
 from cobalt.rings import (
+    GenSpec,
     Polynomial,
     Ring,
     degree_lattice,
@@ -256,6 +257,9 @@ _RINGS = {
     "Z[t, s]": lambda: polynomial_ring("Z", [("t", 1), ("s", 2)]),
     "Q[t]": lambda: polynomial_ring("Q", [("t", 1)]),
     "Z[beta^+-1]": lambda: laurent_ring("Z", "beta"),
+    "Z[beta^+-1, t]": lambda: Ring("Z", [GenSpec("beta", 1, True),
+                                         GenSpec("t", 2)]),
+    "Z[u, t], |u| = 0": lambda: polynomial_ring("Z", [("u", 0), ("t", 1)]),
 }
 
 
@@ -300,8 +304,17 @@ def test_degree_lattice_matches_oracle(data):
     degree = data.draw(st.integers(-3, 3))
 
     analyzer = _Analyzer(module, sequence, (degree, degree), bound)
+    elements = _elements(analyzer, stage)
     carrier, rows, truncated = degree_lattice(
-        ring, degree, module.generators, _elements(analyzer, stage), bound)
+        ring, degree, module.generators, elements, bound)
+    assert degree_lattice(ring, degree, None, elements, bound) == \
+        presentation_oracle.reached(ring, degree, elements, bound)
+    # the enumerated coordinates, then any a product reached past them,
+    # which sets `truncated` whether or not an enumeration was flagged
+    enumerated = [(name, m) for name, d in generators
+                  for m in ring.monomials_of_degree(degree - d, bound)[0]]
+    assert carrier[:len(enumerated)] == enumerated
+    assert truncated or len(carrier) == len(enumerated)
     try:
         expected = presentation_oracle.lattice(module, sequence, degree,
                                                stage, bound)
@@ -313,6 +326,36 @@ def test_degree_lattice_matches_oracle(data):
     assert not truncated
     assert (carrier, rows) == expected
     assert analyzer.lattice(degree, stage) == expected
+
+
+def test_a_product_past_an_unflagged_enumeration_sets_truncated():
+    """Over Z[beta^+-1, t] with |t| = 2 and bound 0, degree 0 lists only
+    1 and flags nothing, yet t*beta^-2 has degree 0 too: its product
+    with the generator lands outside the carrier, and only that sets
+    `truncated`.  The property above found it: an outside coordinate
+    does not imply a flagged enumeration."""
+    ring = Ring("Z", [GenSpec("beta", 1, True), GenSpec("t", 2)])
+    v = ring.gen("t") * ring.gen("beta_inv") ** 2
+    assert ring.monomials_of_degree(0, 0) == ([(0, 0, 0)], False)
+    carrier, rows, truncated = degree_lattice(
+        ring, 0, [("e", 0)], [(0, {"e": v})], 0)
+    assert carrier == [("e", (0, 0, 0)), ("e", (0, 1, 2))]
+    assert rows == [[0, 1]]
+    assert truncated
+
+
+def test_degree_lattice_widens_the_ring_to_the_bound():
+    """A bound past the stored exponents of the ring's packing widens it
+    first, so the key shift by t^19999 stays exact."""
+    ring = polynomial_ring("Z", [("t", 1)])
+    module = ModulePresentation(ring, [("e", 0)], [{"e": ring.gen("t")}])
+    width = ring.pack.width
+    carrier, rows, truncated = degree_lattice(
+        ring, 20000, module.generators, module.relations, 20000)
+    assert (carrier, rows, truncated) == ([("e", (20000,))], [[1]], False)
+    assert ring.pack.width > width
+    assert (carrier, rows) == presentation_oracle.lattice(
+        module, [], 20000, 0, 20000)
 
 
 @pytest.mark.parametrize("case", regularity_cases(),

@@ -217,6 +217,7 @@ def test_graded_component_skips_a_zero_relation():
     ring.impose("2*x^2 - y")
     before = graded_component(ring, 4)
     ring.impose(ring.zero())
+    assert ring.relation_degrees == [2, None]
     assert graded_component(ring, 4) == before
 
 
@@ -281,6 +282,30 @@ def test_degree_lattice_appends_a_term_the_bound_excluded():
     assert carrier == [("e", (2,))]
     assert rows == [[1]]
     assert truncated
+
+
+@pytest.mark.parametrize("build, degree", [
+    (lambda: polynomial_ring("Z", [("t", 1), ("s", 2)]).impose("t^2 - s"),
+     6),
+    (lambda: Ring("Z", [GenSpec("beta", 1, True),
+                        GenSpec("t", 2)]).impose("t - 3*beta^2"), 2),
+])
+def test_degree_lattice_memo_keeps_bounds_and_packings_apart(build, degree):
+    """Calls on one ring, whose enumeration memo is warm, agree with
+    calls on a fresh ring: across bounds at one degree, and after a
+    widening moves the ring to a new packing."""
+    def present(ring, bound):
+        return degree_lattice(ring, degree, [(None, 0)],
+                              [(2, {None: ring.relations[0]})], bound)
+
+    expected = {bound: present(build(), bound) for bound in (1, 3)}
+    assert expected[1] != expected[3]
+    ring = build()
+    for bound in (1, 3, 1):
+        assert present(ring, bound) == expected[bound]
+    ring.widen(2 * ring.pack.width)
+    for bound in (3, 1):
+        assert present(ring, bound) == expected[bound]
 
 
 def brute_component_rank(ring, degree, bound):
