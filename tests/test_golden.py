@@ -13,6 +13,7 @@ and review the diff of the JSON file.
 import hashlib
 import io
 import json
+import os
 import pathlib
 import tempfile
 from contextlib import redirect_stdout
@@ -86,11 +87,34 @@ LAURENT_MODULE = {
     "relations": [{"e": "2*beta", "f": "4"}, {"f": "6*beta^2"}],
 }
 
+# Q[s, t]/(s^2 - 2t): an empty coefficient table is the additive law,
+# and every stage runs over the rational base
+Q_RELATION_LAW = {
+    "ring": {"base": "Q",
+             "generators": [{"name": "s", "adams_degree": 1},
+                            {"name": "t", "adams_degree": 2}],
+             "relations": ["s^2 - 2*t"]},
+    "order": 4,
+    "coefficients": [],
+}
+
+# the multiplicative law over Q[beta, 1/beta, t] with |t| = 2
+LAURENT_T_LAW = {
+    "ring": {"base": "Q",
+             "generators": [{"name": "beta", "adams_degree": 1,
+                             "invertible": True},
+                            {"name": "t", "adams_degree": 2}],
+             "relations": []},
+    "law": "multiplicative",
+}
+
 INPUT_FILES = {"law": LAW_FILE, "torsion": TORSION_MODULE,
                "rational": RATIONAL_MODULE, "additive": ADDITIVE_LAW_FILE,
                "degree_zero": DEGREE_ZERO_MODULE,
                "laurent_coeff": LAURENT_COEFF,
-               "laurent_module": LAURENT_MODULE}
+               "laurent_module": LAURENT_MODULE,
+               "q_relation_law": Q_RELATION_LAW,
+               "laurent_t_law": LAURENT_T_LAW}
 
 
 def _fgl_commands():
@@ -150,38 +174,46 @@ COMMANDS = _fgl_commands() + [
      "--primes", "2,3,5", "--height", "2", "--window", "-3:3"],
     ["hopf", "--N", "4", "--induced", "{law}"],
     ["verify-all", "--seed", "7"],
+    # the rational route through Landweber stages and the Hopf collapse
+    ["landweber", "--law", "{q_relation_law}", "--primes", "2,3",
+     "--height", "1", "--window", "-2:6"],
+    ["hopf", "--N", "2", "--induced", "{laurent_t_law}"],
 ]
 
 
-def _run(argv, paths):
-    argv = [str(paths.get(a, a)) for a in argv]
+def _run(argv, directory):
+    """Exit code and stdout hash of argv, run inside `directory` with each
+    placeholder "{name}" replaced by the file name of that input, so a
+    report that quotes an input path reads the same on every run."""
+    argv = [f"{a[1:-1]}.json" if a[1:-1] in INPUT_FILES else a
+            for a in argv]
     buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with redirect_stdout(buffer):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
     return {"exit": code, "sha256": digest}
 
 
-def _input_paths(directory):
-    """Write INPUT_FILES and map each placeholder "{name}" to its path."""
-    paths = {}
+def _write_inputs(directory):
     for name, doc in INPUT_FILES.items():
-        path = pathlib.Path(directory) / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        paths[f"{{{name}}}"] = path
-    return paths
+        (pathlib.Path(directory) / f"{name}.json").write_text(json.dumps(doc))
 
 
 def test_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    paths = _input_paths(tmp_path)
+    _write_inputs(tmp_path)
     assert sorted(golden) == sorted(" ".join(a) for a in COMMANDS)
     for argv in COMMANDS:
-        assert _run(argv, paths) == golden[" ".join(argv)], argv
+        assert _run(argv, tmp_path) == golden[" ".join(argv)], argv
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
-        paths = _input_paths(directory)
-        table = {" ".join(a): _run(a, paths) for a in COMMANDS}
+        _write_inputs(directory)
+        table = {" ".join(a): _run(a, directory) for a in COMMANDS}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
