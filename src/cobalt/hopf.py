@@ -267,18 +267,18 @@ class InducedHopf:
         self.N = N
 
     def collapse_identifies_units(self):
-        """Do the two units agree modulo (relations) + (all b_i)?
+        """Do the two units agree modulo the ring's relations and all b_i?
 
-        Checked per generator by rational span membership among
-        multiples of the ideal generators with exponents at most
-        |degree| + 2.  The bound can only hide a witness combination,
-        never invent one, so a positive answer is exact.
+        The relations are both copies of the algebra's and the law
+        relations `induced_hopf` imposed after them.  Checked per
+        generator by rational span membership among multiples of the
+        ideal generators with exponents at most |degree| + 2.  The
+        bound can only hide a witness combination, never invent one, so
+        a positive answer is exact.
         """
         ring = self.ring
-        # the relations are the last ones `induced_hopf` imposed
-        degrees = ring.relation_degrees[len(ring.relations)
-                                        - len(self.relations):]
-        ideal = [(d, {None: h}) for h, d in zip(self.relations, degrees)]
+        ideal = [(d, {None: h})
+                 for h, d in zip(ring.relations, ring.relation_degrees)]
         ideal += [(i, {None: ring.gen(f"b{i}")}) for i in range(1, self.N)
                   if f"b{i}" in ring.index]
         for gname, image_l in self.eta_L.items():

@@ -8,11 +8,12 @@ degree of Q_n by the multiples of the ring relations, the module
 relations and v_0..v_{n-1}, one block of rows per element group,
 presented once and shared by every stage.  Injectivity of
 multiplication becomes a comparison of the integer preimage of the
-target lattice (a Smith kernel) with the source lattice.  Over Z or
-Z_(p) each (degree, stage) lattice is factored once into an
-`snf.Lattice` echelon, which answers both whether Q_n vanishes there
-and whether each preimage vector lies in the source; over Q both are
-rational ranks.
+target lattice (a Smith kernel) with the source lattice.  Each
+(degree, stage) lattice is factored once into an `snf.Lattice` echelon
+over the ring's scalars, Z, Z_(p) or Q, which answers both whether Q_n
+vanishes there and whether each preimage vector lies in the source.  A
+stage whose element is a constant unit of the scalars is injective
+without linear algebra.
 
 Stage statuses:
   quotient_vanishes    every window degree of Q_n is zero
@@ -126,10 +127,7 @@ class _Analyzer:
         self.sequence = sequence
         self.window = window
         self.bound = bound
-        self.rational = self.ring.base == "Q"
-        self.p_local = self.ring.localized_at
         self._blocks = {}
-        self._lattices = {}
         self._echelons = {}
 
     # -- presentations -----------------------------------------------------
@@ -163,64 +161,48 @@ class _Analyzer:
             raise _Truncated()
         return self._blocks[key]
 
-    def lattice(self, degree, stage):
-        """Carrier and presentation rows of Q_stage in one degree: the
-        relation block, then v_0..v_{stage-1} times the generators."""
-        key = (degree, stage)
-        if key not in self._lattices:
-            if stage == 0:
-                self._lattices[key] = self.block(degree, None)
-            else:
-                carrier, rows = self.lattice(degree, stage - 1)
-                block = self.block(degree, stage - 1)[1]
-                self._lattices[key] = carrier, rows + block
-        return self._lattices[key]
+    def presentation(self, degree, stage):
+        """Carrier and rows of Q_stage in one degree: the relation block,
+        then v_0..v_{stage-1} times the generators."""
+        carrier, rows = self.block(degree, None)
+        for k in range(stage):
+            rows = rows + self.block(degree, k)[1]
+        return carrier, rows
 
     def echelon(self, degree, stage):
-        """snf.Lattice of the rows of lattice(degree, stage), grown from
-        the echelon of the previous stage."""
+        """snf.Lattice over the ring's scalars of the presentation of
+        Q_stage in one degree, grown from the echelon of the previous
+        stage."""
         key = (degree, stage)
         if key not in self._echelons:
-            carrier, rows = self.lattice(degree, stage)
+            carrier, rows = self.block(degree, None)
             if stage:
                 rows = (self.echelon(degree, stage - 1).rows
                         + self.block(degree, stage - 1)[1])
-            self._echelons[key] = snf.Lattice(rows, len(carrier))
+            self._echelons[key] = snf.Lattice(
+                snf.integer_rows(rows), len(carrier), self.ring.scalars)
         return self._echelons[key]
 
     # -- per-degree component tests ------------------------------------------
 
     def component_is_zero(self, degree):
-        carrier, lattice = self.lattice(degree, self._stage)
-        if not carrier:
-            return True
-        if self.rational:
-            return snf.rational_rank(lattice) == len(carrier)
-        return self.echelon(degree, self._stage).quotient_is_zero(
-            p=self.p_local)
+        return self.echelon(degree, self._stage).quotient_is_zero()
 
     def injective_at(self, v, degree):
         """Is multiplication by v injective out of this degree?"""
-        source, src_lat = self.lattice(degree, self._stage)
-        if not source:
+        source = self.echelon(degree, self._stage)
+        if not source.width:
             return True, None
         shift = v.adams_degree()
-        _, tgt_lat = self.lattice(degree + shift, self._stage)
-        if self.rational and v == v.constant_term():
-            return True, None       # a nonzero constant is a unit over Q
+        _, target = self.presentation(degree + shift, self._stage)
+        if v == v.constant_term() and source.is_unit(v.constant_term()):
+            return True, None       # a constant unit of the scalars
         _, columns = self.block(degree + shift, self._stage)
-        # over Z on every base; its Q or Z_(p) span is the preimage there
+        # over Z on every base; its Z_(p) or Q span is the preimage there
         preimage = snf.preimage_lattice([list(r) for r in zip(*columns)],
-                                        tgt_lat)
-        if self.rational and preimage:
-            base = snf.rational_rank(src_lat)
+                                        target)
         for x in preimage:
-            if self.rational:
-                inside = snf.rational_rank(src_lat + [x]) == base
-            else:
-                inside = self.echelon(degree, self._stage).contains(
-                    x, p=self.p_local)
-            if not inside:
+            if not source.contains(x):
                 return False, x
         return True, None
 

@@ -36,10 +36,10 @@ Hopf collapse check all call it.  It builds each row by shifting the
 element's packed keys by the monomial's key, and decodes only the keys
 of its carrier; each ring memoizes its enumerations for it, and
 `Ring.impose` records the relation degrees its callers read.  For a
-component one echelon yields the rank and a monomial basis, and over Z
-the same `snf.Lattice` echelon gives the torsion; a `truncated` flag
-marks a cut the bound may have made, and when it is off the invariants
-are exact.
+component one `snf.Lattice` echelon over the ring's scalars (Z, Z
+localized at a prime, or Q) yields the rank, a monomial basis and the
+torsion; a `truncated` flag marks a cut the bound may have made, and
+when it is off the invariants are exact.
 """
 
 from dataclasses import dataclass, field
@@ -157,6 +157,12 @@ class Ring:
         # (degree, bound) -> [monomials, flag, packing, keys in it], read
         # by degree_lattice only
         self._enumerations = {}
+
+    @property
+    def scalars(self):
+        """The coefficient ring as snf.Lattice names it: "Q", a prime p
+        for Z localized at p, or "Z"."""
+        return "Q" if self.base == "Q" else self.localized_at or "Z"
 
     # -- packing ------------------------------------------------------------
 
@@ -701,10 +707,10 @@ def graded_component(ring, degree, exponent_bound=None):
 
     The exponent bound keeps the enumeration finite; when no monomial or
     relation multiple is cut off by it the invariants are exact and
-    `truncated` stays False.  Over Z one snf.Lattice echelon of the
-    relation rows gives both the pivot columns and the torsion.  Over a
-    base of Q the pivots come from snf.pivot_columns, the torsion list
-    is always empty and ranks are dimensions.
+    `truncated` stays False.  One snf.Lattice echelon of the relation
+    rows over the ring's scalars gives both the pivot columns and the
+    torsion: ranks are over Z, Z_(p) or Q, and over Q the torsion list
+    is always empty.
     """
     if exponent_bound is None:
         rel_deg = max((abs(d or 0) for d in ring.relation_degrees),
@@ -715,17 +721,14 @@ def graded_component(ring, degree, exponent_bound=None):
         [(d, {None: rel})
          for rel, d in zip(ring.relations, ring.relation_degrees)],
         exponent_bound)
-    if ring.base == "Q":
-        pivots, torsion = snf.pivot_columns(rows), []
-    else:
-        lattice = snf.Lattice(rows, len(carrier))
-        pivots, torsion = lattice.pivots, lattice.torsion()
-    pivots = set(pivots)
+    lattice = snf.Lattice(snf.integer_rows(rows), len(carrier), ring.scalars)
+    pivots = set(lattice.pivots)
     free = len(carrier) - len(pivots)
     basis = [m for i, (_, m) in enumerate(carrier) if i not in pivots]
     note = "exponent bound was active; invariants may be incomplete" \
         if truncated else ""
-    return GradedComponentReport(degree, free, torsion, basis, truncated, note)
+    return GradedComponentReport(degree, free, lattice.torsion(), basis,
+                                 truncated, note)
 
 
 # -- expression parser ------------------------------------------------------------

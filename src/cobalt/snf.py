@@ -2,19 +2,18 @@
 
 Matrices are lists of row lists with Python int entries (arbitrary
 precision); rational matrices may also hold fractions.Fraction entries.
-Three kernels do all the work:
+Two kernels do all the work:
 
 - smith_normal_form returns the elementary divisors together with the
   unimodular transforms U and V, U * matrix * V diagonal.  Kernels,
   integer and p-local solutions and preimages are read off it, and so
   are the one-shot lattice_contains and quotient_invariants.
-- Lattice factors a lattice once into a row echelon over Z with
-  positive pivots and no transforms, and answers membership (p-locally
-  if asked), whether the quotient vanishes, the pivot columns and the
-  torsion from it.  A lattice asked several questions is built once.
-- pivot_columns is a fraction-free row echelon: rows are cleared of
-  denominators by integer_rows and eliminated over Z.  Rank, pivots and
-  rational spans are phrased through it.
+- Lattice factors a module once into a row echelon with positive
+  pivots and no transforms, over Z, over Z localized at a prime p, or
+  over Q, and answers membership, whether the quotient vanishes, the
+  pivot columns and the torsion from it.  A module asked several
+  questions is built once.  Ranks and rational spans are a Lattice over
+  Q of the rows integer_rows clears of denominators.
 
 preimage_lattice is the one preimage routine, for Z, for Z localized
 at a prime p, and for Q (whose preimage is the rational span of the
@@ -22,12 +21,13 @@ integer one); p_saturation is one of its instances.
 
 Lattices are represented as plain lists of generator vectors living in
 Z^n; they need not be independent.  An optional prime p switches the
-membership and quotient routines to p-local semantics: integers coprime
-to p are treated as units.
+one-shot membership and quotient routines to p-local semantics:
+integers coprime to p are treated as units.
 """
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import index
 
 
 def identity_matrix(n):
@@ -168,30 +168,39 @@ def smith_normal_form(matrix):
 
 
 class Lattice:
-    """The sublattice of Z^width spanned by `gens`, as a row echelon.
+    """The submodule of R^width spanned by integer `gens`, as a row
+    echelon, for R = Z, Z_(p) or Q: `over` is "Z", a prime p, or "Q".
 
-    The rows are computed once, with no transform matrices: column by
-    column, the rows that reach a column are combined by Euclid's
-    algorithm until one is left, and its pivot is made positive (the
-    echelon half of the Hermite form; Cohen, GTM 138, section 2.4).  The
-    rows are independent and span the same lattice as `gens`, so each
-    question below is answered from them alone.  `pivots` holds the
-    pivot columns and `leads` the pivot entries, all positive.
+    The rows are computed once, with no transforms: column by column,
+    the rows that reach a column are combined until one is left, and
+    its pivot is made positive (the echelon half of the Hermite form;
+    Cohen, GTM 138, section 2.4).  A row is cleared by Euclid's
+    algorithm, or in one cross-multiplication when the cofactor is a
+    unit of R, and each new row is divided by the part of its content
+    that is a unit; over Z, whose units are +-1, neither applies.  The
+    rows span the same R-module as `gens` and answer every question
+    below.  `pivots` holds the pivot columns, `leads` the pivots.
 
     >>> lat = Lattice([[2, 4], [6, 8]], 2)
-    >>> lat.rows, lat.pivots
-    ([[2, 4], [0, 4]], [0, 1])
-    >>> lat.contains([4, 4]), lat.contains([1, 0]), lat.contains([1, 0], p=3)
-    (True, False, True)
-    >>> lat.quotient_is_zero(p=3), lat.torsion()
-    (True, [2, 4])
+    >>> lat.rows, lat.contains([4, 4]), lat.contains([1, 0]), lat.torsion()
+    ([[2, 4], [0, 4]], True, False, [2, 4])
+    >>> local = Lattice([[2, 4], [6, 8]], 2, over=3)
+    >>> local.rows, local.contains([1, 0]), local.quotient_is_zero()
+    ([[1, 2], [0, 1]], True, True)
+    >>> rational = Lattice([[2, 4, 1], [1, 2, 3], [3, 6, 4]], 3, over="Q")
+    >>> rational.rows, rational.pivots, rational.torsion()
+    ([[1, 2, 3], [0, 0, 1]], [0, 2], [])
     """
 
-    def __init__(self, gens, width):
+    def __init__(self, gens, width, over="Z"):
         self.width = width
+        self.over = over
         self.rows = []
         self.pivots = []
-        active = [list(map(int, g)) for g in gens if any(g)]
+        units = over != "Z"     # over Z, Euclid alone
+        active = [list(map(index, g)) for g in gens if any(g)]
+        if units:
+            active = list(map(self._divide_units, active))
         for col in range(width):
             if not active:
                 break
@@ -201,12 +210,21 @@ class Lattice:
             active = [row for row in active if not row[col]]
             while len(hit) > 1:
                 top = min(hit, key=lambda row: abs(row[col]))
+                t = top[col]
                 left = [top]
                 for row in hit:
                     if row is top:
                         continue
-                    q = row[col] // top[col]
-                    row = [x - q * y for x, y in zip(row, top)]
+                    x = row[col]
+                    g = gcd(x, t) if units and x % t else 0
+                    if g and self.is_unit(t // g):
+                        a, b = t // g, x // g
+                        row = [a * y - b * z for y, z in zip(row, top)]
+                    else:
+                        q = x // t
+                        row = [y - q * z for y, z in zip(row, top)]
+                    if units:
+                        row = self._divide_units(row)
                     if row[col]:
                         left.append(row)
                     elif any(row):
@@ -217,19 +235,39 @@ class Lattice:
             self.pivots.append(col)
         self.leads = [row[col] for row, col in zip(self.rows, self.pivots)]
 
+    def _unit_part(self, x):
+        """The largest positive unit of R dividing x != 0: 1 over Z, |x|
+        over Q, and over Z_(p) |x| stripped of its factors p."""
+        if self.over == "Z":
+            return 1
+        x = abs(x)
+        if self.over != "Q":
+            while x % self.over == 0:
+                x //= self.over
+        return x
+
+    def _divide_units(self, row):
+        content = gcd(*row)
+        unit = self._unit_part(content) if content else 1
+        return row if unit == 1 else [x // unit for x in row]
+
+    def is_unit(self, x):
+        """Is x a unit of R: +-1 over Z, prime to p over Z_(p), nonzero
+        over Q?"""
+        return x != 0 and self._unit_part(x) == abs(x)
+
     @property
     def rank(self):
         return len(self.rows)
 
-    def contains(self, vec, p=None):
-        """Is vec in the lattice, or with p set, is c*vec for some c
-        coprime to p?
+    def contains(self, vec):
+        """Is vec in the R-module, that is, is c*vec in the lattice over
+        Z for some unit c of R?
 
         vec is reduced against the rows in pivot order; it lies in the
-        lattice iff every pivot divides what is left in its column and
-        nothing is left at the end.  With p set, a pivot whose p-part
-        divides the entry is made to divide it by scaling vec with a
-        factor coprime to p.
+        module iff every pivot divides what is left in its column, after
+        scaling vec by a unit of R where that makes it divide, and
+        nothing is left at the end.
         """
         vec = list(vec)
         for row, col in zip(self.rows, self.pivots):
@@ -238,7 +276,7 @@ class Lattice:
                 continue
             if x % d:
                 scale = d // gcd(x, d)
-                if p is None or scale % p == 0:
+                if not self.is_unit(scale):
                     return False
                 vec = [scale * y for y in vec]
                 x *= scale
@@ -246,30 +284,28 @@ class Lattice:
             vec = [y - q * z for y, z in zip(vec, row)]
         return not any(vec)
 
-    def quotient_is_zero(self, p=None):
-        """Is Z^width / lattice zero (localized at p when p is set)?
+    def quotient_is_zero(self):
+        """Is R^width / module zero?
 
-        It is when the rank is the width and every pivot is 1 (prime to
-        p): the rows are then square and triangular, so the quotient's
-        order is the product of the pivots.
+        It is when the rank is the width and every pivot is a unit: the
+        rows are then square and triangular, with a unit determinant.
         """
-        if self.rank < self.width:
-            return False
-        if p is None:
-            return all(d == 1 for d in self.leads)
-        return all(d % p for d in self.leads)
+        return self.rank == self.width and all(map(self.is_unit, self.leads))
 
     def torsion(self):
-        """The elementary divisors > 1 of Z^width / lattice.
+        """The invariant factors of R^width / module that are not units:
+        the Smith divisors of the echelon rows, each stripped of its
+        unit part (its p-part over Z_(p), none over Q).
 
-        None when every pivot is 1: the rows and the unit vectors of the
-        other columns then form a triangular basis of Z^width, so the
-        quotient is free.
-        Otherwise they are the Smith divisors of the echelon rows.
+        [] when every pivot is a unit: the rows and the unit vectors of
+        the other columns then form a triangular basis of R^width, so
+        the quotient is free.
         """
-        if all(d == 1 for d in self.leads):
+        if all(map(self.is_unit, self.leads)):
             return []
-        return [d for d in smith_normal_form(self.rows).divisors if d > 1]
+        return [d // self._unit_part(d)
+                for d in smith_normal_form(self.rows).divisors
+                if not self.is_unit(d)]
 
 
 def kernel_basis(matrix):
@@ -418,58 +454,23 @@ def integer_rows(matrix):
     """Scale each int or Fraction row by the lcm of its denominators.
 
     Each row only changes by a nonzero factor, so row spaces, ranks,
-    pivots and kernels are unchanged.
+    pivots and kernels are unchanged.  A row of ints is returned as it
+    is, not copied.
     """
     out = []
     for row in matrix:
+        if set(map(type, row)) <= {int}:
+            out.append(row)
+            continue
         denom = lcm(1, *(x.denominator for x in row))
         out.append([x.numerator * (denom // x.denominator) for x in row])
     return out
 
 
-def pivot_columns(matrix):
-    """Pivot columns of the row echelon form over Q, in increasing order.
-
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968, with row
-    contents in place of his exact divisions): rows are cleared of
-    denominators, each step combines two integer rows with cofactors
-    reduced by their gcd, and every new row is divided by its content,
-    so entries stay as small as the row space allows.  The pivot
-    columns, and hence the rank, depend only on the matrix.
-
-    >>> pivot_columns([[2, 4, 1], [1, 2, 3], [3, 6, 4]])
-    [0, 2]
-    """
-    rows = [row for row in integer_rows(matrix) if any(row)]
-    width = len(matrix[0]) if matrix else 0
-    pivots = []
-    for col in range(width):
-        if not rows:
-            break
-        hit = next((i for i, row in enumerate(rows) if row[col]), None)
-        if hit is None:
-            continue
-        top = rows.pop(hit)
-        pivots.append(col)
-        remaining = []
-        for row in rows:
-            if row[col]:
-                g = gcd(top[col], row[col])
-                a, b = top[col] // g, row[col] // g
-                row = [a * x - b * y for x, y in zip(row, top)]
-                content = gcd(*row)
-                if not content:
-                    continue
-                if content > 1:
-                    row = [x // content for x in row]
-            remaining.append(row)
-        rows = remaining
-    return pivots
-
-
 def rational_rank(matrix):
     """Rank over Q of an int or Fraction matrix."""
-    return len(pivot_columns(matrix))
+    width = len(matrix[0]) if matrix else 0
+    return Lattice(integer_rows(matrix), width, over="Q").rank
 
 
 def rational_in_span(vectors, vec):

@@ -249,6 +249,26 @@ def test_hopf_induced(capsys, tmp_path):
     assert "-beta_L + 2*b1 + beta_R" in report["induced"]["relations"]
 
 
+@pytest.mark.parametrize("relations, collapse",
+                         [(["t - 3*beta^2"], True), ([], False)])
+def test_hopf_induced_collapse_reads_the_algebra_relations(
+        capsys, tmp_path, relations, collapse):
+    """Over Q[beta, t]/(t - 3 beta^2) the units of t differ by
+    3 (beta_L^2 - beta_R^2) modulo both copies of the relation, so they
+    collapse with those of beta; with t free they stay apart."""
+    doc = tmp_path / "law.json"
+    doc.write_text(json.dumps({
+        "ring": {"base": "Q",
+                 "generators": [{"name": "beta", "adams_degree": 1},
+                                {"name": "t", "adams_degree": 2}],
+                 "relations": relations},
+        "law": "multiplicative"}))
+    code, report = run_json(capsys, "hopf", "--N", "3",
+                            "--induced", str(doc))
+    assert code == (0 if collapse else 1)
+    assert report["collapse_identifies_units"] is collapse
+
+
 def test_cobordism_json_and_csv(capsys):
     code, report = run_json(capsys, "cobordism", "--field", "Q",
                             "--window", "-4:0,-2:0", "--verify")

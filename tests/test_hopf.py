@@ -223,18 +223,20 @@ def test_collapse_identifies_units():
 
 
 def test_induced_relations_are_the_last_imposed():
-    """The collapse check reads its relations' degrees from the ring,
-    where induced_hopf imposed them last, after both copies of the
-    algebra's own relations."""
+    """induced_hopf imposes both copies of the algebra's relations, then
+    the law relations it reports; the collapse check reads them all from
+    the ring, each with its own degree."""
     A = Ring("Q", [GenSpec("beta", 1, True), GenSpec("t", 2)])
     A.impose("t - 3*beta^2")
     ih = induced_hopf(A, fgl_multiplicative(A, order=5), 4)
     assert ih.relations
     assert ih.ring.relations[2:] == ih.relations
-    assert ih.ring.relation_degrees[2:] == \
-        [p.adams_degree() for p in ih.relations]
+    assert [str(r) for r in ih.ring.relations[:2]] == \
+        ["-3*beta_L^2 + t_L", "-3*beta_R^2 + t_R"]
+    assert ih.ring.relation_degrees == \
+        [p.adams_degree() for p in ih.ring.relations]
     # a zero relation of the algebra puts two degrees None first, and
-    # the collapse check still pairs each of its relations with its own
+    # the collapse check skips them
     A = laurent_ring("Q", "beta")
     A.impose(A.zero())
     ih = induced_hopf(A, fgl_multiplicative(A, order=5), 4)

@@ -30,6 +30,7 @@ from cobalt import snf
 from cobalt.verify import regularity_cases
 
 import presentation_oracle
+from echelon_oracle import pivot_columns as oracle_pivot_columns
 
 
 def statuses(verdict):
@@ -131,6 +132,24 @@ def test_rational_unit_stage_computes_no_smith_form(monkeypatch):
     verdict = check_regular(module, [ring.const(3)], 3, (-2, 2))
     assert statuses(verdict) == ["regular"]
     assert calls == []
+
+
+def test_p_local_unit_stage_computes_no_smith_form(monkeypatch):
+    # over Z_(3) the constant 2 is a unit: its stage is regular without a
+    # preimage or Smith form, while the constant 3 is not a unit there
+    ring = Ring("Z", [GenSpec("beta", 1, True)], localized_at=3)
+    module = ModulePresentation(ring, [("e", 0), ("f", 1)],
+                                [{"e": 4 * ring.gen("beta"), "f": -2}])
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form",
+                        lambda *args: calls.append(args) or smith(*args))
+    verdict = check_regular(module, [ring.const(2)], 3, (-2, 2))
+    assert statuses(verdict) == ["regular"]
+    assert calls == []
+    verdict = check_regular(module, [ring.const(3)], 3, (-2, 2))
+    assert statuses(verdict) == ["regular"]
+    assert calls
 
 
 def test_torsion_module_fails_at_stage_zero():
@@ -321,11 +340,11 @@ def test_degree_lattice_matches_oracle(data):
     except presentation_oracle.Truncated:
         assert truncated
         with pytest.raises(_Truncated):
-            analyzer.lattice(degree, stage)
+            analyzer.presentation(degree, stage)
         return
     assert not truncated
     assert (carrier, rows) == expected
-    assert analyzer.lattice(degree, stage) == expected
+    assert analyzer.presentation(degree, stage) == expected
 
 
 def test_a_product_past_an_unflagged_enumeration_sets_truncated():
@@ -375,8 +394,14 @@ def test_block_lattices_match_one_call(case):
                 module.ring, degree, module.generators,
                 _elements(analyzer, stage), bound)
             assert not truncated
-            assert analyzer.lattice(degree, stage) == (carrier, rows)
-            if module.ring.base == "Z":
-                echelon = analyzer.echelon(degree, stage)
+            assert analyzer.presentation(degree, stage) == (carrier, rows)
+            # the echelon grown stage by stage factors the same module
+            echelon = analyzer.echelon(degree, stage)
+            assert echelon.pivots == sorted(oracle_pivot_columns(rows))
+            if module.ring.base == "Q":
                 assert echelon.quotient_is_zero() == \
-                    snf.quotient_is_zero(len(carrier), rows)
+                    (len(oracle_pivot_columns(rows)) == len(carrier))
+            else:
+                assert echelon.quotient_is_zero() == \
+                    snf.quotient_is_zero(len(carrier), rows,
+                                         module.ring.localized_at)

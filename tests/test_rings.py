@@ -26,6 +26,7 @@ from cobalt.rings import (
 
 from cobalt import snf
 
+from echelon_oracle import pivot_columns as oracle_pivot_columns
 from monomial_oracle import monomials_of_degree as oracle_monomials_of_degree
 from mseries_oracle import _times, normal_form
 
@@ -223,28 +224,41 @@ def test_graded_component_skips_a_zero_relation():
 
 def _old_component(ring, degree):
     """Free rank, torsion and basis by the route graded_component took
-    before snf.Lattice: pivot_columns, then a Smith form of all rows."""
+    before snf.Lattice: rational pivot columns (here by the Fraction
+    oracle), then the Smith divisors of all rows, as p-parts over
+    Z_(p) and none over Q."""
     rel_deg = max((abs(r.adams_degree() or 0) for r in ring.relations),
                   default=0)
     carrier, rows, truncated = degree_lattice(
         ring, degree, [(None, 0)],
         [(rel.adams_degree(), {None: rel}) for rel in ring.relations],
         max(1, abs(degree) + rel_deg))
-    pivots = set(snf.pivot_columns(rows))
-    torsion = [d for d in snf.smith_normal_form(rows).divisors if d > 1] \
-        if rows else []
+    pivots = oracle_pivot_columns(rows)
+    torsion = [] if ring.base == "Q" else snf.quotient_invariants(
+        len(carrier), rows, ring.localized_at)[1]
     basis = [m for i, (_, m) in enumerate(carrier) if i not in pivots]
     return len(carrier) - len(pivots), torsion, basis, truncated
+
+
+_COMPONENT_BASES = {"Z": ("Z", None), "Z_(2)": ("Z", 2), "Z_(3)": ("Z", 3),
+                    "Q": ("Q", None)}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_graded_component_matches_the_smith_route(data):
-    """Over Z, with relations that leave torsion (c * monomial plus a
-    multiple of another monomial of the same degree), every component
-    of degree 0..5 agrees with the pivot_columns + Smith form route."""
+    """Over Z, Z_(2), Z_(3) and Q, with relations that leave torsion
+    (c * monomial plus a multiple of another monomial of the same
+    degree; over Q with fractions too), every component of degree 0..5
+    agrees with the Fraction-pivot + Smith form route."""
+    base, p = _COMPONENT_BASES[data.draw(st.sampled_from(
+        sorted(_COMPONENT_BASES)))]
     degrees = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    ring = polynomial_ring("Z", [(f"x{i}", d) for i, d in enumerate(degrees)])
+    ring = Ring(base, [(f"x{i}", d) for i, d in enumerate(degrees)],
+                localized_at=p)
+    coefficients = [-4, -3, -2, 2, 3, 4, 6, 1]
+    if base == "Q":
+        coefficients += [Fraction(1, 2), Fraction(-2, 3)]
     for _ in range(data.draw(st.integers(1, 3))):
         rel_degree = data.draw(st.integers(1, 4))
         monos, _ = ring.monomials_of_degree(rel_degree, rel_degree)
@@ -254,7 +268,7 @@ def test_graded_component_matches_the_smith_route(data):
         for m in data.draw(st.lists(st.sampled_from(monos), min_size=1,
                                     max_size=3)):
             terms[m] = terms.get(m, 0) + data.draw(
-                st.sampled_from([-4, -3, -2, 2, 3, 4, 6, 1]))
+                st.sampled_from(coefficients))
         rel = ring.poly(terms)
         if not rel.is_zero():
             ring.impose(rel)
@@ -329,9 +343,7 @@ def brute_component_rank(ring, degree, bound):
             for e, c in prod.exponent_terms().items():
                 vec[pos[e]] = int(c)
             rows.append(vec)
-    from cobalt import snf
-    rank = snf.rational_rank(rows) if rows else 0
-    return len(monos) - rank
+    return len(monos) - len(oracle_pivot_columns(rows))
 
 
 def test_graded_component_against_bruteforce():

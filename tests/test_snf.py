@@ -205,10 +205,19 @@ _small_ints = st.integers(-4, 4)
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
 
+_bases = st.sampled_from(["Z", 2, 3, "Q"])
+
+
+def _width(matrix):
+    return len(matrix[0]) if matrix else 0
+
+
 @settings(max_examples=150, deadline=None)
-@given(_matrices(_small_ints))
-def test_pivot_columns_match_oracle_on_integer_matrices(matrix):
-    pivots = snf.pivot_columns(matrix)
+@given(_matrices(_small_ints), _bases)
+def test_pivot_columns_match_oracle_on_integer_matrices(matrix, over):
+    """The pivot columns depend on the rational row space alone, so they
+    agree on every base."""
+    pivots = snf.Lattice(matrix, _width(matrix), over).pivots
     assert pivots == sorted(oracle_pivot_columns(matrix))
     assert len(pivots) == snf.smith_normal_form(matrix).rank
 
@@ -216,8 +225,9 @@ def test_pivot_columns_match_oracle_on_integer_matrices(matrix):
 @settings(max_examples=150, deadline=None)
 @given(_matrices(st.one_of(_small_ints, _fractions)))
 def test_pivot_columns_match_oracle_on_rational_matrices(matrix):
-    assert snf.pivot_columns(matrix) == \
-        sorted(oracle_pivot_columns(matrix))
+    lattice = snf.Lattice(snf.integer_rows(matrix), _width(matrix), "Q")
+    assert lattice.pivots == sorted(oracle_pivot_columns(matrix))
+    assert snf.rational_rank(matrix) == lattice.rank
 
 
 def test_integer_rows_clears_denominators_per_row():
@@ -319,39 +329,138 @@ def _lattice_cases():
     return shapes.flatmap(build).map(join)
 
 
+def _check_echelon(lattice, width):
+    """Echelon shape with positive pivots, on any base."""
+    assert len(lattice.rows) == len(lattice.pivots) == lattice.rank
+    assert lattice.pivots == sorted(set(lattice.pivots))
+    assert lattice.leads == [row[col] for row, col
+                             in zip(lattice.rows, lattice.pivots)]
+    for row, col in zip(lattice.rows, lattice.pivots):
+        assert len(row) == width and row[col] > 0 and not any(row[:col])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_lattice_cases(), _primes)
 def test_lattice_certificate(case, p):
+    """Over Z (p None) and over Z_(p), against the one-shot Smith form
+    routines with the same p."""
     gens, width, vec = case
-    lattice = snf.Lattice(gens, width)
-    # echelon shape with positive pivots
-    assert len(lattice.rows) == len(lattice.pivots) == lattice.rank
-    assert lattice.pivots == sorted(set(lattice.pivots))
-    for row, col in zip(lattice.rows, lattice.pivots):
-        assert len(row) == width and row[col] > 0 and not any(row[:col])
-    assert lattice.pivots == snf.pivot_columns(gens)
-    # the same lattice: every input row reduces to zero, and every
-    # echelon row solves gens^T x = row over Z
+    lattice = snf.Lattice(gens, width, "Z" if p is None else p)
+    _check_echelon(lattice, width)
+    assert lattice.pivots == sorted(oracle_pivot_columns(gens))
+    # the same module: every input row reduces to zero, and every
+    # echelon row lies in the span of gens over the same base
     assert all(lattice.contains(g) for g in gens)
-    for row in lattice.rows:
-        assert snf.solve_int(snf.columns_matrix(gens, width), row) is not None
-    assert lattice.contains(vec, p) == snf.lattice_contains(gens, vec, p)
-    assert lattice.quotient_is_zero(p) == \
+    assert all(snf.lattice_contains(gens, row, p) for row in lattice.rows)
+    assert lattice.contains(vec) == snf.lattice_contains(gens, vec, p)
+    assert lattice.quotient_is_zero() == \
         snf.quotient_is_zero(width, gens, p)
-    assert lattice.torsion() == \
-        [d for d in snf.smith_normal_form(gens).divisors if d > 1]
+    assert lattice.torsion() == snf.quotient_invariants(width, gens, p)[1]
+    if p is None:
+        assert lattice.torsion() == \
+            [d for d in snf.smith_normal_form(gens).divisors if d > 1]
+        # an echelon row is an integer combination of gens
+        for row in lattice.rows:
+            assert snf.solve_int(snf.columns_matrix(gens, width), row) \
+                is not None
+
+
+def _rational_cases():
+    """(rows, width, vec): at most 8 Fraction rows in Q^width, width <= 8,
+    vec drawn freely or a rational combination of the rows."""
+    def build(shape):
+        m, n = shape
+        vector = st.lists(st.one_of(_small_ints, _fractions), min_size=n,
+                          max_size=n)
+        return st.tuples(st.lists(vector, min_size=m, max_size=m),
+                         st.just(n), vector,
+                         st.lists(_fractions, min_size=m, max_size=m),
+                         st.booleans())
+
+    def join(case):
+        rows, n, vec, coeffs, combine = case
+        if combine:
+            vec = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                   for j in range(n)]
+        return rows, n, vec
+
+    shapes = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    return shapes.flatmap(build).map(join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_cases())
+def test_rational_lattice_against_fraction_ranks(case):
+    """Over Q, against Gauss-Jordan elimination on Fractions: membership
+    is a rank test, and the quotient vanishes at full rank."""
+    rows, width, vec = case
+    lattice = snf.Lattice(snf.integer_rows(rows), width, "Q")
+    _check_echelon(lattice, width)
+    rank = len(oracle_pivot_columns(rows))
+    assert lattice.pivots == sorted(oracle_pivot_columns(rows))
+    inside = not any(vec) or len(oracle_pivot_columns(rows + [vec])) == rank
+    assert lattice.contains(snf.integer_rows([vec])[0]) == inside
+    assert snf.rational_in_span(rows, vec) == inside
+    assert lattice.quotient_is_zero() == (rank == width)
+    assert lattice.torsion() == []
 
 
 def test_lattice_edges():
     empty = snf.Lattice([], 3)
     assert (empty.rows, empty.pivots, empty.torsion()) == ([], [], [])
-    assert empty.contains([0, 0, 0]) and not empty.contains([0, 1, 0], p=2)
+    assert empty.contains([0, 0, 0]) and not empty.contains([0, 1, 0])
+    assert not snf.Lattice([], 3, 2).contains([0, 1, 0])
     assert not empty.quotient_is_zero()
-    assert snf.Lattice([], 0).quotient_is_zero()
-    assert snf.Lattice([[0, 0], [0, 0]], 2).rank == 0
+    for over in ("Z", 2, "Q"):
+        assert snf.Lattice([], 0, over).quotient_is_zero()
+        assert snf.Lattice([[0, 0], [0, 0]], 2, over).rank == 0
     unit = snf.Lattice([[3, 1], [2, 1]], 2)
     assert unit.leads == [1, 1] and unit.quotient_is_zero()
     assert unit.torsion() == []
     two = snf.Lattice([[2, 0], [0, 3]], 2)
-    assert not two.quotient_is_zero() and not two.quotient_is_zero(p=2)
-    assert two.quotient_is_zero(p=5) and two.torsion() == [6]
+    assert not two.quotient_is_zero() and two.torsion() == [6]
+    local = snf.Lattice([[2, 0], [0, 3]], 2, 2)
+    assert not local.quotient_is_zero() and local.torsion() == [2]
+    local = snf.Lattice([[2, 0], [0, 3]], 2, 5)
+    assert local.quotient_is_zero() and local.torsion() == []
+    rational = snf.Lattice([[2, 0], [0, 3]], 2, "Q")
+    assert rational.rows == [[1, 0], [0, 1]] and rational.quotient_is_zero()
+
+
+def test_lattice_units():
+    """+-1 over Z, prime to p over Z_(p), nonzero over Q."""
+    expected = {"Z": lambda x: abs(x) == 1, 2: lambda x: x % 2 != 0,
+                3: lambda x: x % 3 != 0, "Q": lambda x: x != 0}
+    for over, unit in expected.items():
+        lattice = snf.Lattice([], 1, over)
+        assert [x for x in range(-12, 13) if lattice.is_unit(x)] == \
+            [x for x in range(-12, 13) if unit(x)]
+    assert snf.Lattice([], 1, "Q").is_unit(Fraction(1, 2))
+
+
+def test_lattice_divides_out_only_the_unit_part_of_a_content():
+    """[6, 10] = 2 * [3, 5]: over Z_(3) and Q the factor 2 is a unit and
+    is divided out, while over Z and Z_(2) it stays, and [3, 5] is not a
+    member."""
+    for over, row in (("Z", [6, 10]), (2, [6, 10]), (3, [3, 5]),
+                      ("Q", [3, 5])):
+        lattice = snf.Lattice([[6, 10]], 2, over)
+        assert lattice.rows == [row]
+        assert lattice.contains([3, 5]) == (row == [3, 5])
+    # over Z_(3) the cofactor 2 of [3, 0] against [2, 1] is a unit, so
+    # one cross-multiplication clears the column: 2 * [3, 0] - 3 * [2, 1]
+    local = snf.Lattice([[2, 1], [3, 0]], 2, 3)
+    assert local.rows == [[2, 1], [0, 3]] and local.torsion() == [3]
+    # over Z_(2), 3 is a unit and [3, 0] is divided down to [1, 0]
+    local = snf.Lattice([[2, 1], [3, 0]], 2, 2)
+    assert local.rows == [[1, 0], [0, 1]] and local.quotient_is_zero()
+
+
+def test_lattice_refuses_non_integer_entries():
+    """A Fraction or a float is refused, not truncated towards 0; a
+    rational matrix goes through integer_rows first."""
+    for entry in (Fraction(1, 2), Fraction(4, 2), 0.5, 2.0):
+        with pytest.raises(TypeError):
+            snf.Lattice([[entry, 1]], 2, "Q")
+    assert snf.Lattice(snf.integer_rows([[Fraction(1, 2), 1]]), 2,
+                       "Q").rows == [[1, 2]]
