@@ -108,13 +108,36 @@ LAURENT_T_LAW = {
     "law": "multiplicative",
 }
 
+# the additive law over Z[x, y] with |x| = 3, |y| = -3: x*y has degree 0,
+# so the degree-0 component has infinite rank
+BALANCED_LAW = {
+    "ring": {"base": "Z",
+             "generators": [{"name": "x", "adams_degree": 3},
+                            {"name": "y", "adams_degree": -3}],
+             "relations": []},
+    "order": 4,
+    "coefficients": [],
+}
+
+# the additive law over Z[x, y] with |x| = 2, |y| = -3: x^3*y^2 has
+# degree 0, and every degree is reached past any exponent bound
+COPRIME_LAW = {
+    "ring": {"base": "Z",
+             "generators": [{"name": "x", "adams_degree": 2},
+                            {"name": "y", "adams_degree": -3}],
+             "relations": []},
+    "order": 4,
+    "coefficients": [],
+}
+
 INPUT_FILES = {"law": LAW_FILE, "torsion": TORSION_MODULE,
                "rational": RATIONAL_MODULE, "additive": ADDITIVE_LAW_FILE,
                "degree_zero": DEGREE_ZERO_MODULE,
                "laurent_coeff": LAURENT_COEFF,
                "laurent_module": LAURENT_MODULE,
                "q_relation_law": Q_RELATION_LAW,
-               "laurent_t_law": LAURENT_T_LAW}
+               "laurent_t_law": LAURENT_T_LAW,
+               "balanced_law": BALANCED_LAW, "coprime_law": COPRIME_LAW}
 
 
 def _fgl_commands():
@@ -178,6 +201,11 @@ COMMANDS = _fgl_commands() + [
     ["landweber", "--law", "{q_relation_law}", "--primes", "2,3",
      "--height", "1", "--window", "-2:6"],
     ["hopf", "--N", "2", "--induced", "{laurent_t_law}"],
+    # components of infinite rank over generators of opposite degree
+    ["landweber", "--law", "{balanced_law}", "--primes", "2,3",
+     "--height", "1", "--window", "0:0"],
+    ["landweber", "--law", "{coprime_law}", "--primes", "2,3",
+     "--height", "1", "--window", "-3:3"],
 ]
 
 
