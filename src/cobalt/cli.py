@@ -184,9 +184,8 @@ def _custom_law(doc, ring):
         keys = set(entry) - {"i", "j", "value"}
         if keys:
             raise InputError(f"unknown coefficient fields {sorted(keys)}")
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError):
+        i, j = entry.get("i"), entry.get("j")
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in (i, j)):
             raise InputError("each coefficient needs integer 'i' and 'j'")
         if i < 0 or j < 0 or i + j < 2:
             raise InputError(f"coefficient ({i},{j}) is not settable")

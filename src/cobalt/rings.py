@@ -38,13 +38,14 @@ of its carrier; each ring memoizes its enumerations for it, and
 `Ring.impose` records the relation degrees its callers read.  For a
 component one `snf.Lattice` echelon over the ring's scalars (Z, Z
 localized at a prime, or Q) yields the rank, a monomial basis and the
-torsion; a `truncated` flag marks a cut the bound may have made, and
-when it is off the invariants are exact.
+torsion; its `truncated` flag is set exactly when the bound leaves out
+a monomial, and when it is off the invariants are exact.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import or_
 
 from .errors import (
@@ -157,6 +158,15 @@ class Ring:
         # (degree, bound) -> [monomials, flag, packing, keys in it], read
         # by degree_lattice only
         self._enumerations = {}
+        # per field g and sign s of its exponent, read by _beyond_bound:
+        # s*|g| and the sorted nonzero steps of a cofactor of g^s
+        options = [[s * self.gens[i].adams_degree
+                    for s in ((1,) if j is None else (1, -1))]
+                   for i, j in self.fields]
+        self._past_bound = [
+            (a, tuple(sorted(b for u, bs in enumerate(options)
+                             for b in (bs if u != t else [a]) if b)))
+            for t, own in enumerate(options) for a in own]
 
     @property
     def scalars(self):
@@ -261,96 +271,54 @@ class Ring:
         """Normal-form monomials of one Adams degree, exponents <= bound.
 
         Returns (monomials, bound_active), the monomials sorted in
-        descending exponent order.  bound_active is True when some
-        exponent larger than the bound could have contributed, so the
-        listing may be incomplete.  Each invertible pair is enumerated as
-        one signed exponent in -bound..bound, so only normal forms appear
-        and the incompleteness flag accounts for the cancellation.
+        descending exponent order; bound_active is True exactly when some
+        monomial of the degree has an exponent of absolute value above
+        the bound (`_beyond_bound`), so the listing is incomplete.  An
+        invertible pair is one signed exponent in -bound..bound.  The
+        walk gives each slot only the exponents whose remainder the later
+        slots reach within the bound, by floor division, and stops at a
+        remainder below the smallest degree of a tail of positive plain
+        generators.  The bound must be >= 0.
 
-        The depth-first walk over the slots never enters a dead branch.
-        Every slot's degrees lie in a range fixed by the bound, so the
-        remainder after slot t must lie in [lo[t+1], hi[t+1]]; the walk
-        loops only over the exponents e whose remainder target - e*d
-        lands there, computed by floor division.  When every remaining
-        slot is a plain generator of positive degree, a remainder below
-        their smallest degree ends the walk: all zeros is then the only
-        completion, and only of a zero remainder.  Cutting a branch with
-        0 < target < that degree leaves the flag alone, because the
-        skipped walk would have set nothing: target > 0 needs bound >= 1
-        (the range is [0, 0] when bound = 0), so each skipped slot but
-        the last has hi1 >= bound times its successor's degree > target,
-        and takes e = 0 with no flag; the last slot has e_hi = 0 <= bound
-        and nothing after it, and lists no exponent.  The flag
-        is set where a larger exponent reaches a feasible remainder, or
-        where an exponent within the bound misses the remainder's range
-        on a side that the remaining slots could reach without the bound;
-        the skipped exponents are judged together in O(1), at the ends of
-        their range.  The bound must be >= 0.
+        >>> ring = polynomial_ring("Z", [("x", 2), ("y", -3)])
+        >>> ring.monomials_of_degree(0, 1)      # x^3*y^2 has degree 0
+        ([(0, 0)], True)
+        >>> polynomial_ring("Z", [("x", 2)]).monomials_of_degree(7, 2)
+        ([], False)
         """
         if bound < 0:
             raise InputError(f"exponent bound must be >= 0, got {bound}")
-        n = len(self.gens)
-        degs = [g.adams_degree for g in self.gens]
-        # slots: a plain generator, or an invertible pair as one signed
-        # exponent in -bound..bound
-        slots = [(i, j, degs[i], 0 if j is None else -bound)
+        slots = [(i, j, self.gens[i].adams_degree, 0 if j is None else -bound)
                  for i, j in self.fields]
         k = len(slots)
-        lo = [0] * (k + 1)
-        hi = [0] * (k + 1)
-        slot_lo = [0] * k
-        slot_hi = [0] * k
-        has_pos = [False] * (k + 1)
-        has_neg = [False] * (k + 1)
+        # [lo[t], hi[t]]: the degrees slots t.. reach within the bound
+        lo, hi = [0] * (k + 1), [0] * (k + 1)
         # zero_tail[t]: slots t.. are plain generators of positive degree,
         # and then tail_min[t] is the smallest of their degrees
-        zero_tail = [True] * (k + 1)
-        tail_min = [0] * k + [1]
+        zero_tail, tail_min = [True] * (k + 1), [0] * k + [1]
         for t in range(k - 1, -1, -1):
             i, j, d, e_min = slots[t]
-            if j is None:
-                slot_lo[t], slot_hi[t] = min(0, bound * d), max(0, bound * d)
-                has_pos[t] = has_pos[t + 1] or d > 0
-                has_neg[t] = has_neg[t + 1] or d < 0
-            else:
-                slot_lo[t], slot_hi[t] = -bound * abs(d), bound * abs(d)
-                has_pos[t] = has_pos[t + 1] or d != 0
-                has_neg[t] = has_neg[t + 1] or d != 0
-            lo[t] = lo[t + 1] + slot_lo[t]
-            hi[t] = hi[t + 1] + slot_hi[t]
+            lo[t] = lo[t + 1] + min(e_min * d, bound * d)
+            hi[t] = hi[t + 1] + max(e_min * d, bound * d)
             zero_tail[t] = zero_tail[t + 1] and j is None and d > 0
             tail_min[t] = min(d, tail_min[t + 1]) if t + 1 < k else d
-        if degree < lo[0] or degree > hi[0]:
-            return [], ((degree > hi[0] and has_pos[0])
-                        or (degree < lo[0] and has_neg[0]))
-        found = []
-        active = False
-        exps = [0] * n
+        found, exps = [], [0] * len(self.gens)
 
         def rec(t, target):
             # invariant: lo[t] <= target <= hi[t]
-            nonlocal active
             if zero_tail[t] and target < tail_min[t]:
                 if not target:
                     found.append(tuple(exps))
                 return
             i, j, d, e_min = slots[t]
             lo1, hi1 = lo[t + 1], hi[t + 1]
-            # exponents whose remainder target - e*d lies in [lo1, hi1],
-            # before clipping to [e_min, bound]
+            # the e with target - e*d in [lo1, hi1], before clipping
             if d > 0:
                 e_lo, e_hi = -((hi1 - target) // d), (target - lo1) // d
             elif d < 0:
                 e_lo, e_hi = -((lo1 - target) // d), (target - hi1) // d
             else:
-                # degree 0: every exponent, past the bound too, keeps it
-                e_lo, e_hi = e_min - 1, bound + 1
-            if not active:
-                # a feasible exponent past the bound, or a skipped one
-                # whose remainder the remaining slots reach unbounded
-                active = (e_hi > bound or (j is not None and e_lo < e_min)
-                          or (has_pos[t + 1] and target - slot_lo[t] > hi1)
-                          or (has_neg[t + 1] and target - slot_hi[t] < lo1))
+                e_lo, e_hi = e_min, bound
             for e in range(min(e_hi, bound), max(e_lo, e_min) - 1, -1):
                 if e >= 0:
                     exps[i] = e
@@ -361,9 +329,18 @@ class Ring:
             if j is not None:
                 exps[j] = 0
 
-        rec(0, degree)
+        if lo[0] <= degree <= hi[0]:
+            rec(0, degree)
         found.sort(reverse=True)
-        return found, active
+        return found, self._beyond_bound(degree, bound)
+
+    def _beyond_bound(self, degree, bound):
+        """Whether some monomial of `degree` has an exponent of absolute
+        value above `bound`: g^(s*(bound+1)) times a cofactor whose steps
+        are the generator degrees, an invertible one with both signs,
+        but g's own step with the sign s alone."""
+        return any(_reachable(degree - (bound + 1) * a, steps)
+                   for a, steps in self._past_bound)
 
     def _monomial_str(self, exps):
         parts = []
@@ -614,6 +591,29 @@ class Polynomial:
     __repr__ = __str__
 
 
+def _reachable(target, steps):
+    """Whether `target` is a sum of nonnegative multiples of `steps`, a
+    sorted tuple of nonzero ints (the Frobenius coin problem).  Steps of
+    both signs reach every multiple of their gcd g; steps of one sign
+    reach those of their sign from g(a/g - 1)(b/g - 1) on (Schur's bound,
+    a and b the least and largest |step|), and below it a bitset decides."""
+    if not steps:
+        return target == 0
+    g = gcd(*steps)
+    if target % g or steps[0] < 0 < steps[-1]:
+        return target % g == 0
+    if steps[0] < 0:
+        target, steps = -target, [-a for a in reversed(steps)]
+    if target < 0 or target >= (steps[0] - g) * (steps[-1] - g) // g:
+        return target >= 0
+    reach, mask = 1, (2 << target) - 1
+    for a in steps:
+        while a <= target:
+            reach |= reach << a & mask
+            a <<= 1
+    return bool(reach >> target & 1)
+
+
 # -- graded components ----------------------------------------------------------
 
 
@@ -648,9 +648,9 @@ def degree_lattice(ring, degree, generators, elements, bound):
     degree None is zero.  The carrier holds the (name, monomial)
     coordinates, generator by generator, monomials descending, or with
     generators None every coordinate a row reaches, sorted.  Each row is
-    one monomial multiple of an element.  A product term outside the
-    carrier is appended to it; that, or an enumeration the bound may
-    have cut short, sets `truncated`.
+    one monomial multiple of an element.  `truncated` says that an
+    enumeration left a monomial past the bound out; only then can a
+    product term fall outside the carrier, and it is appended to it.
 
     Inside, coordinates are (name, key) pairs: the ring is first widened
     until the bound is a stored exponent, so the row of monomial m times
@@ -705,12 +705,12 @@ def degree_lattice(ring, degree, generators, elements, bound):
 def graded_component(ring, degree, exponent_bound=None):
     """Rank, torsion and a monomial basis of one Adams-degree component.
 
-    The exponent bound keeps the enumeration finite; when no monomial or
-    relation multiple is cut off by it the invariants are exact and
-    `truncated` stays False.  One snf.Lattice echelon of the relation
-    rows over the ring's scalars gives both the pivot columns and the
-    torsion: ranks are over Z, Z_(p) or Q, and over Q the torsion list
-    is always empty.
+    The exponent bound keeps the enumeration finite.  `truncated` is set
+    exactly when it leaves out a monomial of the degree or a relation
+    multiple landing there; when it is False the invariants are exact.
+    One snf.Lattice echelon of the relation rows over the ring's scalars
+    gives the pivot columns and the torsion: ranks are over Z, Z_(p) or
+    Q, and over Q the torsion list is always empty.
     """
     if exponent_bound is None:
         rel_deg = max((abs(d or 0) for d in ring.relation_degrees),

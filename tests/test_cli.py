@@ -500,6 +500,17 @@ def test_exact_must_be_a_boolean(capsys, tmp_path):
                       "--height", "2", "--window", "0:4"], "'exact'")
 
 
+@pytest.mark.parametrize("i, j", [(1.9, 1), (1, True), ("1", 1)],
+                         ids=["float", "bool", "string"])
+def test_coefficient_indices_must_be_integers(capsys, tmp_path, i, j):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({
+        "ring": _BETA_RING, "order": 4, "exact": True,
+        "coefficients": [{"i": i, "j": j, "value": "-beta"}]}))
+    _refused(capsys, ["landweber", "--law", str(path), "--primes", "2",
+                      "--height", "2", "--window", "0:4"], "'i' and 'j'")
+
+
 def _power_module(tmp_path, relation):
     return _module_file(tmp_path, {
         "ring": {"base": "Z",

@@ -279,6 +279,8 @@ _RINGS = {
     "Z[beta^+-1, t]": lambda: Ring("Z", [GenSpec("beta", 1, True),
                                          GenSpec("t", 2)]),
     "Z[u, t], |u| = 0": lambda: polynomial_ring("Z", [("u", 0), ("t", 1)]),
+    "Z[x, y], |y| = -3": lambda: polynomial_ring("Z", [("x", 2),
+                                                      ("y", -3)]),
 }
 
 
@@ -328,12 +330,15 @@ def test_degree_lattice_matches_oracle(data):
         ring, degree, module.generators, elements, bound)
     assert degree_lattice(ring, degree, None, elements, bound) == \
         presentation_oracle.reached(ring, degree, elements, bound)
-    # the enumerated coordinates, then any a product reached past them,
-    # which sets `truncated` whether or not an enumeration was flagged
+    # the enumerated coordinates, then any a product reached past them;
+    # a product gets past them only where an enumeration left one out
     enumerated = [(name, m) for name, d in generators
                   for m in ring.monomials_of_degree(degree - d, bound)[0]]
+    flagged = any(ring.monomials_of_degree(degree - d, bound)[1]
+                  for _, d in generators)
     assert carrier[:len(enumerated)] == enumerated
     assert truncated or len(carrier) == len(enumerated)
+    assert flagged or len(carrier) == len(enumerated)
     try:
         expected = presentation_oracle.lattice(module, sequence, degree,
                                                stage, bound)
@@ -349,18 +354,28 @@ def test_degree_lattice_matches_oracle(data):
 
 def test_a_product_past_an_unflagged_enumeration_sets_truncated():
     """Over Z[beta^+-1, t] with |t| = 2 and bound 0, degree 0 lists only
-    1 and flags nothing, yet t*beta^-2 has degree 0 too: its product
-    with the generator lands outside the carrier, and only that sets
-    `truncated`.  The property above found it: an outside coordinate
-    does not imply a flagged enumeration."""
+    1, yet t*beta^-2 has degree 0 too, so the enumeration is flagged.
+    The product of t*beta^-2 with the generator lands outside the
+    carrier, is appended to it and sets `truncated`."""
     ring = Ring("Z", [GenSpec("beta", 1, True), GenSpec("t", 2)])
     v = ring.gen("t") * ring.gen("beta_inv") ** 2
-    assert ring.monomials_of_degree(0, 0) == ([(0, 0, 0)], False)
+    assert ring.monomials_of_degree(0, 0) == ([(0, 0, 0)], True)
     carrier, rows, truncated = degree_lattice(
         ring, 0, [("e", 0)], [(0, {"e": v})], 0)
     assert carrier == [("e", (0, 0, 0)), ("e", (0, 1, 2))]
     assert rows == [[0, 1]]
     assert truncated
+
+
+def test_a_component_of_infinite_rank_is_never_regular():
+    """Over Z[x, y] with |x| = 3, |y| = -3 every (xy)^k has degree 0.  The
+    window 0:0 lists four of them at the default bound, so stage 0 of
+    [2, xy] is inconclusive, not regular."""
+    ring = polynomial_ring("Z", [("x", 3), ("y", -3)])
+    xy = ring.gen("x") * ring.gen("y")
+    verdict = check_regular(ModulePresentation.free(ring), [2, xy], 2,
+                            (0, 0))
+    assert statuses(verdict)[0] == "window_inconclusive"
 
 
 def test_degree_lattice_widens_the_ring_to_the_bound():

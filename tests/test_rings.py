@@ -28,6 +28,7 @@ from cobalt import snf
 
 from echelon_oracle import pivot_columns as oracle_pivot_columns
 from monomial_oracle import monomials_of_degree as oracle_monomials_of_degree
+from monomial_oracle import past_bound
 from mseries_oracle import _times, normal_form
 
 
@@ -160,13 +161,26 @@ def enumeration_rings(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(enumeration_rings(), st.integers(-10, 12), st.integers(0, 4))
-# y^2 has degree 2 but y^2 > bound: the skipped branch x^0 flags it
+# y^2 has degree 2 but y^2 > bound
 @example(Ring("Z", [GenSpec("x", 2), GenSpec("y", 1)]), 2, 1)
-# b^-2 y has degree -1: only the pair's exponent past the bound flags it
+# b^-2 y has degree -1: only the pair's exponent is past the bound
 @example(Ring("Z", [GenSpec("b", 1, True), GenSpec("y", 1)]), -1, 1)
+# x^3 y^2 has degree 0: two exponents past the bound at once
+@example(Ring("Z", [GenSpec("x", 2), GenSpec("y", -3)]), 0, 1)
+# x^4 y^5 has degree 6
+@example(Ring("Z", [GenSpec("x", 4), GenSpec("y", -2)]), 6, 3)
+# no power of x has degree 7
+@example(Ring("Z", [GenSpec("x", 2)]), 7, 2)
+# x*y alone has degree 5: x^2 needs a cofactor of degree 1
+@example(Ring("Z", [GenSpec("x", 2), GenSpec("y", 3)]), 5, 1)
 def test_monomials_of_degree_matches_oracle(ring, degree, bound):
     assert ring.monomials_of_degree(degree, bound) == \
         oracle_monomials_of_degree(ring, degree, bound)
+    witness = past_bound(ring, degree, bound)
+    if witness is not None:
+        assert ring.monomial_degree(witness) == degree
+        assert max(witness) > bound
+        assert witness == normal_form(ring, witness)
 
 
 def test_graded_component_free():
@@ -176,6 +190,12 @@ def test_graded_component_free():
     assert report.torsion == []
     assert not report.truncated
     assert len(report.basis) == 4
+
+
+def test_graded_component_flags_two_exponents_past_the_bound():
+    # x^3 y^2 has degree 0: the component has infinite rank
+    ring = polynomial_ring("Z", [("x", 2), ("y", -3)])
+    assert graded_component(ring, 0, 1).truncated
 
 
 def test_graded_component_torsion():
