@@ -40,10 +40,10 @@ from .landweber import (
 )
 from .oriented import FreeModuleOnSchur, thom_class, zero_section_report
 from .rings import (
-    generator_entries,
+    REQUIRED,
+    json_fields,
     laurent_ring,
     load_presentation,
-    object_list,
     parse_expression,
     polynomial_ring,
 )
@@ -152,9 +152,7 @@ def _read_json(path):
 
 
 def _coefficient_value(value, ring):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InputError("coefficient values must be integers or "
-                         "expression strings")
+    """An integer or an expression string, as an element of `ring`."""
     return ring.const(value) if isinstance(value, int) \
         else parse_expression(value, ring)
 
@@ -162,34 +160,25 @@ def _coefficient_value(value, ring):
 def _custom_law(doc, ring):
     """A law from an explicit coefficient table over `ring`.
 
-    Schema: {"order": int, "exact": bool?, "ring": presentation?,
-             "coefficients": [{"i": int, "j": int, "value": int|str}]}.
+    Schema: {"order": int, "exact": bool?,
+             "coefficients": [{"i": int, "j": int, "value": int|str?}]?}.
     The (1,0) and (0,1) coefficients are fixed at 1; each listed entry
     is mirrored to (j,i) since any group law is commutative.
     """
-    if not isinstance(doc, dict):
-        raise InputError("a custom law must be a JSON object")
-    extra = set(doc) - {"order", "exact", "ring", "coefficients"}
-    if extra:
-        raise InputError(f"unknown law fields {sorted(extra)}")
-    order = doc.get("order")
-    if not isinstance(order, int) or order < 2:
-        raise InputError("a custom law needs an integer order >= 2")
-    exact = doc.get("exact", False)
-    if not isinstance(exact, bool):
-        raise InputError("law field 'exact' must be true or false")
+    order, exact, entries = json_fields(
+        doc, "law", order=(int, REQUIRED), exact=(bool, False),
+        coefficients=(list[dict], []))
+    if order < 2:
+        raise InputError("law field 'order' must be at least 2")
     coeffs = {(1, 0): ring.one(), (0, 1): ring.one()}
-    for entry in object_list(doc.get("coefficients", []),
-                             "law field 'coefficients'"):
-        keys = set(entry) - {"i", "j", "value"}
-        if keys:
-            raise InputError(f"unknown coefficient fields {sorted(keys)}")
-        i, j = entry.get("i"), entry.get("j")
-        if any(isinstance(k, bool) or not isinstance(k, int) for k in (i, j)):
-            raise InputError("each coefficient needs integer 'i' and 'j'")
-        if i < 0 or j < 0 or i + j < 2:
-            raise InputError(f"coefficient ({i},{j}) is not settable")
-        value = _coefficient_value(entry.get("value", 0), ring)
+    for entry in entries:
+        i, j, value = json_fields(entry, "coefficient", i=(int, REQUIRED),
+                                  j=(int, REQUIRED), value=(int | str, 0))
+        if min(i, j) < 0 or not 2 <= i + j <= order:
+            raise InputError(f"coefficient ({i},{j}) is not settable: a law "
+                             f"of 'order' {order} takes i, j >= 0 and "
+                             f"2 <= i + j <= {order}")
+        value = _coefficient_value(value, ring)
         for key in ((i, j), (j, i)):
             if key in coeffs and coeffs[key] != value:
                 raise InputError(
@@ -205,22 +194,22 @@ def _custom_law(doc, ring):
 
 
 def _load_module(doc):
-    """(ring, module) from {"ring", "generators"?, "relations"?}."""
-    if not isinstance(doc, dict):
-        raise InputError("module file must hold a JSON object")
-    extra = set(doc) - {"ring", "generators", "relations"}
-    if extra:
-        raise InputError(f"unknown module fields {sorted(extra)}")
-    if "ring" not in doc:
-        raise InputError("module file needs a 'ring' presentation")
-    ring = load_presentation(doc["ring"])
-    generators = [(g["name"], g["adams_degree"]) for g in generator_entries(
-        doc.get("generators", [{"name": "e", "adams_degree": 0}]),
-        {"name", "adams_degree"})]
-    relations = [{name: _coefficient_value(value, ring)
-                  for name, value in rel.items()}
-                 for rel in object_list(doc.get("relations", []),
-                                        "module field 'relations'")]
+    """(ring, module) from {"ring", "generators"?, "relations"?}; the
+    fields of a relation are generator names, each an integer or an
+    expression string."""
+    ring_doc, generators, relations = json_fields(
+        doc, "module", ring=(object, REQUIRED),
+        generators=(list[dict], [{"name": "e", "adams_degree": 0}]),
+        relations=(list[dict], []))
+    ring = load_presentation(ring_doc)
+    generators = [tuple(json_fields(g, "module generator",
+                                    name=(str, REQUIRED),
+                                    adams_degree=(int, REQUIRED)))
+                  for g in generators]
+    schema = dict.fromkeys((name for name, _ in generators), (int | str, 0))
+    relations = [{name: _coefficient_value(value, ring) for name, value in
+                  zip(schema, json_fields(rel, "module relation", **schema))}
+                 for rel in relations]
     return ring, ModulePresentation(ring, generators, relations)
 
 
@@ -274,12 +263,26 @@ def _cmd_grass(args):
 # -- fgl ---------------------------------------------------------------------
 
 
-def _builtin_law(token, order):
-    if token == "additive":
-        return fgl_additive(polynomial_ring("Z", []), order)
-    if token == "multiplicative":
-        return fgl_multiplicative(laurent_ring("Z", "beta"), order)
-    return fgl_universal_rational(order)
+# Each built-in law: its builder (ring, order) and the ring it uses when no
+# file supplies one.  The first is the default law of `landweber`.
+LAWS = {"multiplicative": (fgl_multiplicative,
+                           lambda: laurent_ring("Z", "beta")),
+        "additive": (fgl_additive, lambda: polynomial_ring("Z", []))}
+
+
+def _law(spec, ring, order):
+    """The law `spec` over `ring`: a LAWS name, built to `order` (over its
+    own ring when `ring` is None), or a coefficient table (`_custom_law`)."""
+    if isinstance(spec, str):
+        if spec not in LAWS:
+            raise InputError(f"'law' must be {', '.join(LAWS)}, "
+                             "or a coefficient table")
+        build, default_ring = LAWS[spec]
+        return build(default_ring() if ring is None else ring, order)
+    if ring is None:
+        raise InputError(
+            "a custom law needs a 'ring' field or a --module file")
+    return _custom_law(spec, ring)
 
 
 def _cmd_fgl(args):
@@ -288,7 +291,8 @@ def _cmd_fgl(args):
         raise InputError("need a truncation order N >= 2")
     if args.landweber is not None:
         _require_prime(args.landweber[0], "--landweber prime")
-    law = _builtin_law(args.law, order)
+    law = fgl_universal_rational(order) if args.law == "universal-q" \
+        else _law(args.law, None, order)
     coefficients = {f"{i},{j}": str(c)
                     for (i, j), c in sorted(law.series.coeffs.items())
                     if not c.is_zero()}
@@ -322,29 +326,17 @@ def _cmd_landweber(args):
     primes = _parse_primes(args.primes)
     if args.height < 0:
         raise InputError("height must be nonnegative")
-    module_doc = _read_json(args.module) if args.module else None
-
-    if args.law in ("additive", "multiplicative"):
-        if module_doc is not None:
-            ring, module = _load_module(module_doc)
-        else:
-            ring = laurent_ring("Z", "beta") if args.law == "multiplicative" \
-                else polynomial_ring("Z", [])
-            module = ModulePresentation.free(ring)
-        law = (fgl_additive if args.law == "additive"
-               else fgl_multiplicative)(ring)
-    else:
-        law_doc = _read_json(args.law)
-        if module_doc is not None:
-            ring, module = _load_module(module_doc)
-        elif isinstance(law_doc, dict) and "ring" in law_doc:
-            ring = load_presentation(law_doc["ring"])
-            module = ModulePresentation.free(ring)
-        else:
-            raise InputError(
-                "a custom law needs a 'ring' field or a --module file")
-        law = _custom_law(law_doc, ring)
-
+    # a law file may carry the ring, used when no --module is given
+    spec = args.law if args.law in LAWS else _read_json(args.law)
+    ring_doc = spec.pop("ring", None) if isinstance(spec, dict) else None
+    ring = module = None
+    if args.module:
+        ring, module = _load_module(_read_json(args.module))
+    elif ring_doc is not None:
+        ring = load_presentation(ring_doc)
+    # the built-in laws are polynomials, so their order only sizes a table
+    law = _law(spec, ring, 8)
+    module = module or ModulePresentation.free(law.ring)
     verdicts, exact = check_exact(module, law, primes, args.height, window)
     return _report("landweber", law=args.law, height=args.height,
                    window=list(window), primes=primes,
@@ -389,26 +381,11 @@ def _cmd_hopf(args):
     if args.N < 2:
         raise InputError("need a truncation order N >= 2")
     if args.induced:
-        doc = _read_json(args.induced)
-        if not isinstance(doc, dict):
-            raise InputError("induced law file must hold a JSON object")
-        extra = set(doc) - {"ring", "law"}
-        if extra:
-            raise InputError(f"unknown induced fields {sorted(extra)}")
-        if "ring" not in doc:
-            raise InputError("induced law file needs a 'ring'")
-        ring = load_presentation(doc["ring"])
-        spec = doc.get("law")
-        if spec == "additive":
-            law = fgl_additive(ring, args.N)
-        elif spec == "multiplicative":
-            law = fgl_multiplicative(ring, args.N)
-        elif isinstance(spec, dict):
-            law = _custom_law(spec, ring)
-        else:
-            raise InputError("'law' must be additive, multiplicative, "
-                             "or a coefficient table")
-        result = induced_hopf(ring, law, args.N)
+        ring_doc, spec = json_fields(
+            _read_json(args.induced), "induced law file",
+            ring=(object, REQUIRED), law=(object, REQUIRED))
+        ring = load_presentation(ring_doc)
+        result = induced_hopf(ring, _law(spec, ring, args.N), args.N)
         collapse = result.collapse_identifies_units()
         return _report("hopf", N=args.N, induced=result.to_dict(),
                        collapse_identifies_units=collapse), collapse
@@ -498,8 +475,6 @@ def _seconds(text):
     return float(text)
 
 
-REQUIRED = "required"
-
 # Per command: handler, help and options.  An option's key is its name and a
 # metavar per value it takes; its entry is the kind reading each value (a
 # tuple of accepted words, bool for a flag) and its default or REQUIRED.
@@ -509,11 +484,11 @@ COMMANDS = {
         "--verify": (("all", "complex", "identities", "pairing", "products"),
                      None)}),
     "fgl": (_cmd_fgl, "formal group law coefficient tables", {
-        "--law": (("additive", "multiplicative", "universal-q"), REQUIRED),
+        "--law": ((*LAWS, "universal-q"), REQUIRED),
         "--N N": (int, 8), "--check": (bool, False),
         "--p-series P": (int, None), "--landweber P H": (int, None)}),
     "landweber": (_cmd_landweber, "regular-sequence verdicts", {
-        "--module FILE": (str, None), "--law LAW": (str, "multiplicative"),
+        "--module FILE": (str, None), "--law LAW": (str, next(iter(LAWS))),
         "--primes P,..": (str, "2,3,5"), "--height H": (int, 3),
         "--window LO:HI": (str, "-10:10")}),
     "oriented": (_cmd_oriented, "Schur-class modules with any coefficients", {

@@ -199,12 +199,10 @@ class GrassRing:
                     shapes = step
             for lam, coeff in shapes.items():
                 totals[lam] = totals.get(lam, 0) + coeff
-        out = {}
-        for degree in sorted({sum(lam) for lam in totals}):
-            for lam in self.partitions(degree):
-                if totals.get(lam):
-                    out[lam] = totals[lam]
-        return out
+        # by degree, then lex-descending: the order of partitions(degree)
+        return {lam: totals[lam] for lam in sorted(
+            (lam for lam, c in totals.items() if c),
+            key=lambda lam: (-sum(lam), lam), reverse=True)}
 
     # -- products and the pairing ---------------------------------------------
 

@@ -176,21 +176,19 @@ class HopfAxiomReport:
         return f"HopfAxiomReport({verdict}, {len(self.checks)} checks)"
 
 
-def verify_hopf_axioms(H, N=None):
-    """Check the algebroid axioms as polynomial identities up to N.
+def verify_hopf_axioms(H):
+    """Check the algebroid axioms as polynomial identities up to H.N.
 
     Each axiom is an identity per generator of A or Gamma; a generator
-    of degree at most N where it fails is a (generator, degree) witness.
+    of degree at most H.N where it fails is a (generator, degree) witness.
     """
-    if N is None:
-        N = H.N
     A, Gamma, T2, T3 = H.A, H.Gamma, H.square.ring, H.cube.ring
     comult, conj = H.comult, H.conjugation
     checks = []
 
     def check(name, ring, holds):
         witnesses = [(g.name, g.adams_degree) for g in ring.gens
-                     if g.adams_degree <= N and not holds(g.name)]
+                     if g.adams_degree <= H.N and not holds(g.name)]
         checks.append(AxiomCheck(name, not witnesses, witnesses))
 
     # eps (x) 1, 1 (x) eps, Delta (x) 1 and 1 (x) Delta as assignments

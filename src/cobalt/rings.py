@@ -47,6 +47,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import or_
+from typing import get_args, get_origin
 
 from .errors import (
     ExpressionSyntaxError,
@@ -304,7 +305,9 @@ class Ring:
             tail_min[t] = min(d, tail_min[t + 1]) if t + 1 < k else d
         found, exps = [], [0] * len(self.gens)
 
-        def rec(t, target):
+        # rec is handed itself, not a closure over its own name, so a call
+        # leaves no reference cycle for the collector
+        def rec(rec, t, target):
             # invariant: lo[t] <= target <= hi[t]
             if zero_tail[t] and target < tail_min[t]:
                 if not target:
@@ -324,13 +327,13 @@ class Ring:
                     exps[i] = e
                 else:
                     exps[i], exps[j] = 0, -e
-                rec(t + 1, target - e * d)
+                rec(rec, t + 1, target - e * d)
             exps[i] = 0
             if j is not None:
                 exps[j] = 0
 
         if lo[0] <= degree <= hi[0]:
-            rec(0, degree)
+            rec(rec, 0, degree)
         found.sort(reverse=True)
         return found, self._beyond_bound(degree, bound)
 
@@ -889,30 +892,48 @@ def parse_expression(text, ring):
     return value
 
 
-def object_list(entries, what):
-    """entries if it is a JSON list of objects; else refuse, naming what."""
-    if not isinstance(entries, list) \
-            or not all(isinstance(e, dict) for e in entries):
-        raise InputError(f"{what} must be a list of objects")
-    return entries
+# the default of a JSON field (json_fields) or a cli option that must be given
+REQUIRED = "required"
+
+# The kinds a field of a JSON document may have (json_fields), by name
+_KINDS = {int: "an integer", bool: "true or false", str: "a string",
+          int | str: "an integer or an expression string",
+          list[dict]: "a list of objects", list[str]: "a list of strings"}
 
 
-def generator_entries(entries, fields):
-    """Check a JSON generator list and return it.
+def _admits(kind, value):
+    if get_origin(kind) is list:
+        return type(value) is list and all(_admits(get_args(kind)[0], v)
+                                           for v in value)
+    return kind is object or type(value) in (get_args(kind) or (kind,))
 
-    It must be a list of objects, each with a 'name' and an integer
-    'adams_degree' and no key outside `fields`.
+
+def json_fields(doc, what, /, **schema):
+    """The values of the fields of the JSON object `doc`, in `schema` order.
+
+    `schema` maps each field to (kind, default).  A kind is int (never a
+    bool), bool, str, int | str, list[dict], list[str], or object for a
+    value its own reader checks; the default REQUIRED marks a field that
+    must be given.  A document that is not an object, an unknown or a
+    missing field, and a value of the wrong kind are refused, naming
+    `what` and the field (for a wrong kind, every field of that kind).
     """
-    for g in object_list(entries, "'generators'"):
-        extra = set(g) - fields
-        if extra:
-            raise InputError(f"unknown generator fields {sorted(extra)}")
-        if "name" not in g or "adams_degree" not in g:
-            raise InputError("generator needs 'name' and 'adams_degree'")
-        degree = g["adams_degree"]
-        if isinstance(degree, bool) or not isinstance(degree, int):
-            raise InputError("adams_degree must be an integer")
-    return entries
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(schema))
+    if unknown:
+        raise InputError(f"unknown {what} fields {unknown}")
+    values = []
+    for name, (kind, default) in schema.items():
+        value = doc.get(name, default)
+        if value is REQUIRED:
+            raise InputError(f"{what} field {name!r} is missing")
+        if not _admits(kind, value):
+            same = " and ".join(repr(k) for k, (other, _) in schema.items()
+                                if other == kind)
+            raise InputError(f"{what} takes {_KINDS[kind]} in {same}")
+        values.append(value)
+    return values
 
 
 def load_presentation(doc):
@@ -920,29 +941,17 @@ def load_presentation(doc):
 
     Schema: {"base": "Z"|"Q",
              "generators": [{"name": str, "adams_degree": int,
-                             "invertible": bool?}, ...],
-             "relations": [expression string, ...]}
+                             "invertible": bool?}, ...]?,
+             "relations": [expression string, ...]?}
     """
-    if not isinstance(doc, dict):
-        raise InputError("presentation must be a JSON object")
-    for key in doc:
-        if key not in ("base", "generators", "relations"):
-            raise InputError(f"unknown presentation field {key!r}")
-    base = doc.get("base")
-    gens = []
-    for g in generator_entries(doc.get("generators", []),
-                               {"name", "adams_degree", "invertible"}):
-        invertible = g.get("invertible", False)
-        if not isinstance(invertible, bool):
-            raise InputError("generator field 'invertible' must be true "
-                             "or false")
-        gens.append(GenSpec(str(g["name"]), g["adams_degree"], invertible))
-    relations = doc.get("relations", [])
-    if not isinstance(relations, list):
-        raise InputError("presentation field 'relations' must be a list")
-    ring = Ring(base, gens)
+    base, generators, relations = json_fields(
+        doc, "presentation", base=(str, REQUIRED),
+        generators=(list[dict], []), relations=(list[str], []))
+    ring = Ring(base, [GenSpec(*json_fields(
+        g, "generator", name=(str, REQUIRED), adams_degree=(int, REQUIRED),
+        invertible=(bool, False))) for g in generators])
     for rel in relations:
-        ring.impose(parse_expression(str(rel), ring))
+        ring.impose(parse_expression(rel, ring))
     return ring
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: reports, determinism, and exit codes."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -511,6 +513,51 @@ def test_coefficient_indices_must_be_integers(capsys, tmp_path, i, j):
                       "--height", "2", "--window", "0:4"], "'i' and 'j'")
 
 
+@pytest.mark.parametrize("module, field", [
+    ({"ring": {"base": "Z",
+               "generators": [{"name": None, "adams_degree": 1}]}}, "'name'"),
+    ({"ring": _Z_RING, "generators": [{"name": ["e"], "adams_degree": 0}]},
+     "'name'"),
+    ({"ring": {"base": "Z", "generators": [], "relations": [2]}},
+     "'relations'")], ids=["null-name", "list-name", "number-relation"])
+def test_a_name_or_a_relation_must_be_a_string(capsys, tmp_path, module,
+                                               field):
+    _refused(capsys, ["landweber", "--law", "additive", "--module",
+                      _module_file(tmp_path, module), "--primes", "2",
+                      "--height", "0"], field)
+
+
+def test_an_inline_induced_law_carries_no_ring(capsys, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({
+        "ring": {"base": "Q",
+                 "generators": [{"name": "beta", "adams_degree": 1,
+                                 "invertible": True}],
+                 "relations": []},
+        "law": {"ring": _Z_RING, "order": 3, "exact": True,
+                "coefficients": [{"i": 1, "j": 1, "value": "-2*beta"}]}}))
+    _refused(capsys, ["hopf", "--N", "3", "--induced", str(path)], "'ring'")
+
+
+def test_a_coefficient_past_the_order_is_refused(capsys, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({
+        "ring": _BETA_RING, "order": 3, "exact": True,
+        "coefficients": [{"i": 1, "j": 1, "value": "-beta"},
+                         {"i": 5, "j": 1, "value": 7}]}))
+    _refused(capsys, ["landweber", "--law", str(path), "--primes", "2",
+                      "--height", "1", "--window", "0:2"], "'order'")
+
+
+def test_a_coefficient_at_the_order_is_kept():
+    ring = cli.load_presentation(_BETA_RING)
+    law = cli._law({"order": 3, "coefficients": [
+        {"i": 1, "j": 1, "value": "-beta"},
+        {"i": 2, "j": 1, "value": "7*beta^2"}]}, ring, 8)
+    assert law.coefficient(2, 1) == law.coefficient(1, 2) == \
+        7 * ring.gen("beta") ** 2
+
+
 def _power_module(tmp_path, relation):
     return _module_file(tmp_path, {
         "ring": {"base": "Z",
@@ -547,6 +594,77 @@ def test_a_power_within_the_term_pair_bound_parses(capsys, tmp_path,
         "--window", "0:2")
     assert code == 0
     assert report["exact"]
+
+
+# -- the loaders under drawn JSON ----------------------------------------
+
+_KEYS = st.sampled_from([
+    "ring", "base", "generators", "relations", "name", "adams_degree",
+    "invertible", "order", "exact", "coefficients", "i", "j", "value",
+    "law", "e", "beta"])
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 4),
+              st.text(max_size=3),
+              st.sampled_from(["Z", "Q", "e", "beta", "additive",
+                               "multiplicative", "-beta", "beta^2"])),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=12)
+_WINDOW = ["--primes", "2", "--height", "1", "--window", "0:2"]
+# per loader: a valid file, and the command that reads it from FILE
+_LOADERS = {
+    "module": ({"ring": _BETA_RING,
+                "generators": [{"name": "e", "adams_degree": 0}],
+                "relations": [{"e": "2*beta"}]},
+               ["landweber", "--law", "additive", "--module", "FILE",
+                *_WINDOW]),
+    "law": ({"ring": _BETA_RING, "order": 3, "exact": True,
+             "coefficients": [{"i": 1, "j": 1, "value": "-beta"}]},
+            ["landweber", "--law", "FILE", *_WINDOW]),
+    "induced": ({"ring": _BETA_RING, "law": "multiplicative"},
+                ["hopf", "--N", "2", "--induced", "FILE"])}
+
+
+def _positions(doc, path=()):
+    """Every position in a JSON document, as its path of keys."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from _positions(value, path + (key,))
+
+
+@st.composite
+def _input_files(draw):
+    """A loader and its valid file with one position, or the whole file,
+    replaced by drawn JSON, so that each check and the work after the
+    checks get reached."""
+    loader = draw(st.sampled_from(sorted(_LOADERS)))
+    doc = copy.deepcopy(_LOADERS[loader][0])
+    path = draw(st.sampled_from(list(_positions(doc))))
+    if not path:
+        return loader, draw(_JSON)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(_JSON)
+    return loader, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_input_files())
+def test_a_drawn_input_file_exits_0_1_or_2_without_a_traceback(drawn):
+    loader, doc = drawn
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory) / "input.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([str(path) if a == "FILE" else a
+                         for a in _LOADERS[loader][1]])
+    assert code in (0, 1, 2), drawn
+    assert code != 2 or err.getvalue().startswith("cobalt: error: "), drawn
+    assert "Traceback" not in err.getvalue(), drawn
 
 
 # -- the option table against the old argparse front end ------------------

@@ -77,6 +77,16 @@ def test_reduce_round_trip():
         assert G.reduce(rel) == {}
 
 
+def test_reduce_lists_shapes_in_partition_order():
+    # by degree, then as partitions(degree) lists them
+    G = grassmannian(7, 3)
+    parts = G.partitions()
+    for a in parts:
+        for b in parts:
+            product = G.multiply(a, b)
+            assert list(product) == [lam for lam in parts if lam in product]
+
+
 def test_pieri_fixture():
     G = grassmannian(4, 2)
     assert G.multiply((1,), (1,)) == {(2,): 1, (1, 1): 1}

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, graded components, and the relation parser."""
 
+import gc
 from fractions import Fraction
 from itertools import product
 
@@ -144,6 +145,20 @@ def test_monomials_of_degree_laurent():
     assert active
     with pytest.raises(InputError):
         ring.monomials_of_degree(0, -1)
+
+
+def test_monomial_listing_leaves_no_reference_cycle():
+    rings = [polynomial_ring("Z", [("x", 1), ("y", 1), ("z", 1)]),
+             Ring("Z", [GenSpec("b", 1, True), GenSpec("t", 2)])]
+    gc.collect()
+    gc.disable()
+    try:
+        for ring in rings:
+            for _ in range(10):
+                ring.monomials_of_degree(6, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @st.composite
