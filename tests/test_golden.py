@@ -206,6 +206,14 @@ COMMANDS = _fgl_commands() + [
      "--height", "1", "--window", "0:0"],
     ["landweber", "--law", "{coprime_law}", "--primes", "2,3",
      "--height", "1", "--window", "-3:3"],
+] + [
+    # every Grassmannian check on every box the default size limit admits
+    ["grass", "--n", str(n), "--d", str(d), "--verify", "all"]
+    for n in range(9) for d in range(n + 1)
+] + [
+    # the complex check with no restriction target, and with r = n
+    ["grass", "--n", "3", "--d", "3", "--verify", "complex"],
+    ["grass", "--n", "4", "--d", "0", "--verify", "complex"],
 ]
 
 
