@@ -221,41 +221,25 @@ def _report(command, **fields):
 # -- grass -------------------------------------------------------------------
 
 
-def _grass_check(token, n, d):
-    if token == "complex":
-        rep = complex_report(n, d)
-        ok, witness = rep["ok"], sorted(
-            deg for deg, res in rep["degrees"].items()
-            if not all(res.values()))
-    elif token == "identities":
-        ok, witness = determinant_identities(n, d)
-        witness = witness and {"identity": witness[0],
-                               "partition": list(witness[1])}
-    elif token == "pairing":
-        ok, witness = gram_report(n, d)
-        witness = str(witness)
-    else:
-        failures = products_report(n, d)
-        ok, witness = not failures, failures and {
-            "a": list(failures[0][0]), "b": list(failures[0][1])}
-    check = {"name": token, "pass": ok}
-    if not ok:
-        check["witness"] = witness
-    return check
-
-
 def _cmd_grass(args):
     G = grassmannian(args.n, args.d)
     report = _report("grass", n=args.n, d=args.d, rank=G.rank,
                      basis=[list(lam) for lam in G.partitions()])
     checks = []
     if args.verify:
+        # each check returns (ok, witness), the witness None when ok
+        named = {"complex": complex_report,
+                 "identities": determinant_identities,
+                 "pairing": gram_report, "products": products_report}
         tokens = [args.verify]
         if args.verify == "all":
-            tokens = ["identities", "pairing", "products"]
-            if args.d < args.n:
-                tokens.insert(0, "complex")
-        checks = [_grass_check(t, args.n, args.d) for t in tokens]
+            # at d == n there is no restriction target, so no complex
+            tokens = list(named)[args.d == args.n:]
+        for token in tokens:
+            ok, witness = named[token](args.n, args.d)
+            checks.append({"name": token, "pass": ok})
+            if not ok:
+                checks[-1]["witness"] = witness
         report["checks"] = checks
     return report, all(c["pass"] for c in checks)
 

@@ -49,7 +49,9 @@ def partitions_of(total, rows, width):
         return [] if total else [()]
     out = []
 
-    def rec(prefix, remaining, cap, slots):
+    # rec is handed itself, not a closure over its own name, so a call
+    # leaves no reference cycle for the collector
+    def rec(rec, prefix, remaining, cap, slots):
         if remaining == 0:
             out.append(tuple(prefix))
             return
@@ -57,10 +59,10 @@ def partitions_of(total, rows, width):
             return
         for part in range(min(cap, remaining), 0, -1):
             prefix.append(part)
-            rec(prefix, remaining - part, part, slots - 1)
+            rec(rec, prefix, remaining - part, part, slots - 1)
             prefix.pop()
 
-    rec([], total, width, rows)
+    rec(rec, [], total, width, rows)
     return out
 
 
@@ -173,18 +175,17 @@ class GrassRing:
             for prefix, added in grown if added == k)
         return cached
 
-    def reduce(self, poly, start=()):
-        """Schur coordinates of Delta_start times a polynomial representative.
+    def reduce(self, poly):
+        """Schur coordinates of a polynomial representative.
 
         Returns {partition: int} with zero coefficients omitted, ordered
         by degree and then as in `partitions(degree)`.  Any polynomial
-        in Z[x1..xr] is accepted: each monomial starts at the shape
-        `start` (empty by default) and gains one horizontal i-strip per
-        factor x_i.
+        in Z[x1..xr] is accepted: each monomial starts at the empty
+        shape and gains one horizontal i-strip per factor x_i.
         """
         if poly.ring is not self.ring:
             raise InputError("polynomial is not over this ring's presentation")
-        return self._reduce(poly.exponent_terms(), start)
+        return self._reduce(poly.exponent_terms(), ())
 
     def _reduce(self, terms, start):
         totals = {}
@@ -287,7 +288,16 @@ def schur_polynomial(ring, partition, rows):
     return table[full]
 
 
-# -- the restriction / extension complex --------------------------------------
+# -- the checks of one (n, d) ---------------------------------------------------
+#
+# Each returns (ok, witness): the witness is None when the check passes
+# and a JSON value that locates the failure when it does not.
+
+
+def _coordinates(G, poly, parts):
+    """Schur coordinates of a polynomial over G, along the list `parts`."""
+    coords = G.reduce(poly)
+    return [coords.get(lam, 0) for lam in parts]
 
 
 def complex_report(n, d):
@@ -296,80 +306,48 @@ def complex_report(n, d):
     Three lattices in Schur coordinates are compared in every degree:
     the image of the degree-shifting inclusion from R(n-1, d-1), the
     kernel of the restriction to R(n-1, d), and the ideal generated by
-    the top generator x_r.  Returns a dict with per-degree results and
-    an overall flag.
+    the top generator x_r.  The witness lists, in increasing order, the
+    degrees where they differ.
     """
     G = grassmannian(n, d)
     r = G.r
-    target = grassmannian(n - 1, d) if n - 1 >= d else None
-    source = grassmannian(n - 1, d - 1) if d >= 1 and n >= 1 else None
+    source = grassmannian(n - 1, d - 1) if d else None
+    # R(n-1, d) exists exactly when r >= 1; restriction sends x_r to zero
+    target = grassmannian(n - 1, d) if r else None
+    if r:
+        restrict = {f"x{i}": target.ring.gen(f"x{i}") for i in range(1, r)}
+        restrict[f"x{r}"] = target.ring.zero()
+        xr = G.ring.gen(f"x{r}")
 
-    degrees = {}
-    ok = True
+    failing = []
     for degree in range(G.d * G.r + 1):
         parts = G.partitions(degree)
-        dim = len(parts)
-        index = {lam: i for i, lam in enumerate(parts)}
+        tparts = target.partitions(degree) if r else []
 
         # kernel of restriction, from honest polynomial images
-        if target is not None:
-            pi_rows = []
-            for lam in parts:
-                images = {f"x{i}": target.ring.gen(f"x{i}")
-                          for i in range(1, r)}
-                if r >= 1:
-                    images[f"x{r}"] = target.ring.zero()
-                image = G.schur(lam).map_to(target.ring, images)
-                coords = target.reduce(image)
-                tparts = target.partitions(degree)
-                pi_rows.append([coords.get(mu, 0) for mu in tparts])
-            pi_matrix = [[pi_rows[j][i] for j in range(dim)]
-                         for i in range(len(pi_rows[0]) if pi_rows else 0)]
-            if pi_matrix and pi_matrix[0]:
-                kernel = snf.kernel_basis(pi_matrix)
-            else:
-                kernel = snf.identity_matrix(dim)
-        else:
-            kernel = snf.identity_matrix(dim)
+        kernel = snf.identity_matrix(len(parts))
+        if tparts:
+            kernel = snf.kernel_basis(snf.columns_matrix(
+                [_coordinates(target, G.schur(lam).map_to(target.ring,
+                                                          restrict), tparts)
+                 for lam in parts], len(tparts)))
 
         # image of the inclusion, via reduced determinant representatives
-        image_vectors = []
-        if source is not None and degree >= r:
-            for mu in source.partitions(degree - r):
-                prepended = (r,) + mu if r or mu else ()
-                coords = G.reduce(G.schur(G.check_partition(prepended)))
-                vec = [0] * dim
-                for lam, c in coords.items():
-                    vec[index[lam]] = c
-                image_vectors.append(vec)
+        image = [_coordinates(G, G.schur((r,) + mu), parts)
+                 for mu in (source.partitions(degree - r) if source else [])]
 
-        # the ideal (x_r) in this degree, from monomial multiples
-        ideal_vectors = []
-        if r >= 1:
-            xr = G.ring.gen(f"x{r}")
-            mults, _ = G.ring.monomials_of_degree(degree - r,
-                                                  max(degree, 1))
-            for m in mults:
-                coords = G.reduce(Polynomial(G.ring, {m: 1}) * xr)
-                vec = [0] * dim
-                for lam, c in coords.items():
-                    vec[index[lam]] = c
-                ideal_vectors.append(vec)
-        else:
-            # r = 0: empty product convention, the unit ideal
-            for i in range(dim):
-                vec = [0] * dim
-                vec[i] = 1
-                ideal_vectors.append(vec)
+        # the ideal (x_r) in this degree from monomial multiples; for
+        # r = 0 the empty product makes it the unit ideal
+        ideal = snf.identity_matrix(len(parts))
+        if r:
+            mults, _ = G.ring.monomials_of_degree(degree - r, max(degree, 1))
+            ideal = [_coordinates(G, Polynomial(G.ring, {m: 1}) * xr, parts)
+                     for m in mults]
 
-        same_ik = snf.lattices_equal(image_vectors, kernel)
-        same_ki = snf.lattices_equal(kernel, ideal_vectors)
-        degrees[degree] = {
-            "image_equals_kernel": same_ik,
-            "kernel_equals_ideal": same_ki,
-        }
-        ok = ok and same_ik and same_ki
-    return {"n": n, "d": d, "ok": ok, "degrees": degrees}
+        if not (snf.lattices_equal(image, kernel)
+                and snf.lattices_equal(kernel, ideal)):
+            failing.append(degree)
+    return not failing, failing or None
 
 
 def determinant_identities(n, d):
@@ -378,7 +356,8 @@ def determinant_identities(n, d):
     For every partition mu with at most d-1 rows in the box: padding mu
     into d rows does not change the Schur determinant, and prepending a
     full-width part multiplies it by x_r.  Checked as polynomial
-    identities in Z[x1..xr], no reduction involved.
+    identities in Z[x1..xr], no reduction involved.  The witness is the
+    first failure, as {"identity": "padding" or "prepend", "partition"}.
     """
     G = grassmannian(n, d)
     r = G.r
@@ -386,33 +365,33 @@ def determinant_identities(n, d):
         return True, None
     for mu in partitions_in_box(d - 1, r):
         padded = schur_polynomial(G.ring, mu, d)
-        small = schur_polynomial(G.ring, mu, d - 1)
-        if padded != small:
-            return False, ("padding", mu)
-        if r >= 1:
-            prepended = schur_polynomial(G.ring, (r,) + mu, d)
-            xr = G.ring.gen(f"x{r}")
-            if prepended != xr * padded:
-                return False, ("prepend", mu)
+        if padded != schur_polynomial(G.ring, mu, d - 1):
+            return False, {"identity": "padding", "partition": list(mu)}
+        if r and schur_polynomial(G.ring, (r,) + mu, d) != \
+                G.ring.gen(f"x{r}") * padded:
+            return False, {"identity": "prepend", "partition": list(mu)}
     return True, None
 
 
 def verify_ranks(n, d):
     """Graded components of the presentation against partition counts.
 
-    Uses the generic component machinery (monomial carriers, relation
-    lattices, Smith form), then compares with the Schur count; free
-    ranks must match, with no torsion and no truncation, in every
-    degree of the box and one degree beyond.
+    The basis must have the binomial count of elements.  Then the
+    generic component machinery (monomial carriers, relation lattices,
+    Smith form) is compared with the Schur count; free ranks must match,
+    with no torsion and no truncation, in every degree of the box and
+    one degree beyond.  The witness is ["total rank", basis size, rank]
+    or [degree, free rank, expected rank, torsion, truncated].
     """
     G = grassmannian(n, d)
-    top = G.d * G.r
-    for degree in range(top + 2):
+    if len(G.partitions()) != G.rank:
+        return False, ["total rank", len(G.partitions()), G.rank]
+    for degree in range(G.d * G.r + 2):
         report = G.component(degree)
         expected = len(G.partitions(degree))
         if report.truncated or report.torsion or report.free_rank != expected:
-            return False, (degree, report.free_rank, expected,
-                           report.torsion, report.truncated)
+            return False, [degree, report.free_rank, expected,
+                           report.torsion, report.truncated]
     return True, None
 
 
@@ -421,7 +400,9 @@ def gram_report(n, d):
 
     Expects each one to be the permutation matrix of the complement
     involution: unimodular, one nonzero entry per row and column, all
-    entries 1, supported exactly on complementary pairs.
+    entries 1, supported exactly on complementary pairs.  The witness
+    is the first wrong entry, as the string of its (degree, row
+    partition, column partition, entry, expected entry).
     """
     G = grassmannian(n, d)
     top = G.d * G.r
@@ -432,18 +413,18 @@ def gram_report(n, d):
             for j, b in enumerate(cols):
                 want = 1 if b == comp else 0
                 if matrix[i][j] != want:
-                    return False, (degree, a, b, matrix[i][j], want)
+                    return False, str((degree, a, b, matrix[i][j], want))
     return True, None
 
 
 def products_report(n, d):
     """Products of all pairs of basis classes against tableau counting.
 
-    Returns the pairs (a, b), in basis order, where Delta_a * Delta_b
-    differs from the Littlewood-Richardson product; empty when the two
-    routes agree everywhere.
+    The witness lists, in basis order, every pair {"a", "b"} where
+    Delta_a * Delta_b differs from the Littlewood-Richardson product.
     """
     G = grassmannian(n, d)
     box = G.partitions()
-    return [(a, b) for a in box for b in box
-            if G.multiply(a, b) != lr_multiply(a, b, d, n - d)]
+    failing = [{"a": list(a), "b": list(b)} for a in box for b in box
+               if G.multiply(a, b) != lr_multiply(a, b, d, n - d)]
+    return not failing, failing or None

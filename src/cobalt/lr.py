@@ -28,12 +28,14 @@ def lr_coefficient(a, b, lam):
 
     # fill rows top to bottom, each row right to left, so that placement
     # order matches the reverse reading word and the lattice condition
-    # becomes a running-count comparison
-    def fill(row, col):
+    # becomes a running-count comparison; fill is handed itself, not a
+    # closure over its own name, so a call leaves no reference cycle
+    def fill(fill, row, col):
         if row == rows:
             return 1
         if col < inner[row]:
-            return fill(row + 1, outer[row + 1] - 1 if row + 1 < rows else -1)
+            return fill(fill, row + 1,
+                        outer[row + 1] - 1 if row + 1 < rows else -1)
         hi = values
         if col + 1 < outer[row]:
             hi = grid[row][col + 1]
@@ -48,12 +50,12 @@ def lr_coefficient(a, b, lam):
                 continue
             counts[v - 1] += 1
             grid[row][col] = v
-            total += fill(row, col - 1)
+            total += fill(fill, row, col - 1)
             grid[row][col] = 0
             counts[v - 1] -= 1
         return total
 
-    return fill(0, outer[0] - 1)
+    return fill(fill, 0, outer[0] - 1)
 
 
 def lr_multiply(a, b, d, r):

@@ -804,6 +804,85 @@ def _tokenize(text):
     return tokens
 
 
+class _Parser:
+    """Recursive descent over the tokens of one expression.
+
+    The grammar lives in methods, not nested functions, so a parse
+    leaves no reference cycle between sibling closures."""
+
+    def __init__(self, text, ring):
+        self.text, self.ring = text, ring
+        self.tokens, self.pos = _tokenize(text), 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ExpressionSyntaxError(
+                f"expected {kind!r}, found {tok[1]!r}", tok[2], self.text)
+        return tok
+
+    def parse_sum(self):
+        value = self.parse_product()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.parse_product()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def parse_product(self):
+        value = self.parse_factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            value = value * self.parse_factor()
+        return value
+
+    def parse_factor(self):
+        sign = 1
+        while self.peek()[0] in ("+", "-"):
+            if self.advance()[0] == "-":
+                sign = -sign
+        value = self.parse_atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            tok = self.expect("int")
+            if tok[1] <= 0:
+                raise ExpressionSyntaxError(
+                    "exponents must be positive integers", tok[2], self.text)
+            if _power_too_large(len(value.terms), tok[1]):
+                raise ExpressionSyntaxError(
+                    f"a {len(value.terms)}-term base to the power "
+                    f"{tok[1]} would multiply more than {MAX_POWER_PAIRS} "
+                    "term pairs", tok[2], self.text)
+            value = value ** tok[1]
+        return value if sign == 1 else -value
+
+    def parse_atom(self):
+        tok = self.advance()
+        if tok[0] == "int":
+            return self.ring.const(tok[1])
+        if tok[0] == "name":
+            if tok[1] not in self.ring.index:
+                raise UnknownIdentifier(
+                    f"unknown identifier {tok[1]!r}", tok[2], self.text)
+            return self.ring.gen(tok[1])
+        if tok[0] == "(":
+            inner = self.parse_sum()
+            closing = self.advance()
+            if closing[0] != ")":
+                raise ExpressionSyntaxError(
+                    "expected ')'", closing[2], self.text)
+            return inner
+        raise ExpressionSyntaxError(
+            f"expected a term, found {tok[1]!r}", tok[2], self.text)
+
+
 def parse_expression(text, ring):
     """Parse `text` into a Polynomial over `ring`.
 
@@ -812,80 +891,9 @@ def parse_expression(text, ring):
     and a power past `MAX_POWER_PAIRS` are rejected with the offending
     column.
     """
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def expect(kind):
-        tok = advance()
-        if tok[0] != kind:
-            raise ExpressionSyntaxError(
-                f"expected {kind!r}, found {tok[1]!r}", tok[2], text)
-        return tok
-
-    def parse_sum():
-        value = parse_product()
-        while peek()[0] in ("+", "-"):
-            op = advance()[0]
-            rhs = parse_product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_product():
-        value = parse_factor()
-        while peek()[0] == "*":
-            advance()
-            value = value * parse_factor()
-        return value
-
-    def parse_factor():
-        sign = 1
-        while peek()[0] in ("+", "-"):
-            if advance()[0] == "-":
-                sign = -sign
-        value = parse_atom()
-        if peek()[0] == "^":
-            advance()
-            tok = expect("int")
-            if tok[1] <= 0:
-                raise ExpressionSyntaxError(
-                    "exponents must be positive integers", tok[2], text)
-            if _power_too_large(len(value.terms), tok[1]):
-                raise ExpressionSyntaxError(
-                    f"a {len(value.terms)}-term base to the power "
-                    f"{tok[1]} would multiply more than {MAX_POWER_PAIRS} "
-                    "term pairs", tok[2], text)
-            value = value ** tok[1]
-        return value if sign == 1 else -value
-
-    def parse_atom():
-        tok = advance()
-        if tok[0] == "int":
-            return ring.const(tok[1])
-        if tok[0] == "name":
-            if tok[1] not in ring.index:
-                raise UnknownIdentifier(
-                    f"unknown identifier {tok[1]!r}", tok[2], text)
-            return ring.gen(tok[1])
-        if tok[0] == "(":
-            inner = parse_sum()
-            closing = advance()
-            if closing[0] != ")":
-                raise ExpressionSyntaxError(
-                    "expected ')'", closing[2], text)
-            return inner
-        raise ExpressionSyntaxError(
-            f"expected a term, found {tok[1]!r}", tok[2], text)
-
-    value = parse_sum()
-    tail = advance()
+    parser = _Parser(text, ring)
+    value = parser.parse_sum()
+    tail = parser.advance()
     if tail[0] != "end":
         raise ExpressionSyntaxError(
             f"unexpected trailing input {tail[1]!r}", tail[2], text)

@@ -40,78 +40,47 @@ from .oriented import zero_section_report
 from .rings import laurent_ring, polynomial_ring
 
 
-def check_grassmann_ranks(max_n=7):
-    """Graded ranks of every R(n, d) against binomial/partition counts."""
+def _grid(name, check, max_n, proper=False):
+    """Run check(n, d) -> (ok, witness) on every 0 <= d <= n <= max_n,
+    only d < n when proper; each failure is {"n", "d", "witness"}."""
     failures = []
     for n in range(max_n + 1):
-        for d in range(n + 1):
-            G = grassmannian(n, d)
-            expected = 1
-            for i in range(1, d + 1):
-                expected = expected * (n - d + i) // i
-            if G.rank != expected or len(G.partitions()) != expected:
-                failures.append({"n": n, "d": d, "kind": "total rank"})
-                continue
-            ok, witness = verify_ranks(n, d)
+        for d in range(n if proper else n + 1):
+            ok, witness = check(n, d)
             if not ok:
-                failures.append({"n": n, "d": d, "witness": list(witness)})
-    return {"name": "grassmann_ranks", "pass": not failures,
+                failures.append({"n": n, "d": d, "witness": witness})
+    return {"name": name, "pass": not failures,
             "details": {"max_n": max_n, "failures": failures}}
+
+
+def check_grassmann_ranks(max_n=7):
+    """Graded ranks of every R(n, d) against binomial/partition counts."""
+    return _grid("grassmann_ranks", verify_ranks, max_n)
 
 
 def check_restriction_complex(max_n=6):
     """Exactness of the inclusion/restriction complex per degree."""
-    failures = []
-    for n in range(1, max_n + 1):
-        for d in range(n):
-            report = complex_report(n, d)
-            if not report["ok"]:
-                bad = [deg for deg, res in report["degrees"].items()
-                       if not all(res.values())]
-                failures.append({"n": n, "d": d, "degrees": bad})
-    return {"name": "restriction_complex", "pass": not failures,
-            "details": {"max_n": max_n, "failures": failures}}
+    return _grid("restriction_complex", complex_report, max_n, proper=True)
 
 
 def check_determinant_identities(max_n=6):
     """Padding and prepending identities for Schur determinants."""
-    failures = []
-    for n in range(1, max_n + 1):
-        for d in range(n):
-            ok, witness = determinant_identities(n, d)
-            if not ok:
-                failures.append({"n": n, "d": d,
-                                 "witness": [witness[0], list(witness[1])]})
-    return {"name": "determinant_identities", "pass": not failures,
-            "details": {"max_n": max_n, "failures": failures}}
+    return _grid("determinant_identities", determinant_identities, max_n,
+                 proper=True)
 
 
 def check_structure_constants(max_n=5):
     """Ring structure constants against the tableau-counting route."""
-    failures = []
-    for n in range(1, max_n + 1):
-        for d in range(n + 1):
-            for a, b in products_report(n, d):
-                failures.append({"n": n, "d": d, "a": list(a), "b": list(b)})
-    pieri = grassmannian(4, 2).multiply((1,), (1,))
-    pinned = pieri == {(2,): 1, (1, 1): 1}
-    if not pinned:
-        failures.append({"pinned_pieri": str(pieri)})
-    return {"name": "structure_constants", "pass": not failures,
-            "details": {"max_n": max_n, "pinned_pieri": pinned,
-                        "failures": failures}}
+    result = _grid("structure_constants", products_report, max_n)
+    pinned = grassmannian(4, 2).multiply((1,), (1,)) == {(2,): 1, (1, 1): 1}
+    result["details"]["pinned_pieri"] = pinned
+    result["pass"] = result["pass"] and pinned
+    return result
 
 
 def check_gram_matrices(max_n=6):
     """Complement-pairing Gram matrices are permutation matrices."""
-    failures = []
-    for n in range(max_n + 1):
-        for d in range(n + 1):
-            ok, witness = gram_report(n, d)
-            if not ok:
-                failures.append({"n": n, "d": d, "witness": str(witness)})
-    return {"name": "gram_matrices", "pass": not failures,
-            "details": {"max_n": max_n, "failures": failures}}
+    return _grid("gram_matrices", gram_report, max_n)
 
 
 def check_fgl_axioms(order=8, chern_order=10):
@@ -221,16 +190,15 @@ def check_landweber_suite(seed=0, perturbations=5):
                         "cases": len(cases), "failures": failures}}
 
 
+def _zero_section(n, d):
+    """zero_section_report as (ok, witness), the report its own witness."""
+    report = zero_section_report(n, d)
+    return report["ok"], None if report["ok"] else report
+
+
 def check_zero_section(max_n=6):
     """Thom class restriction and zero-section identities."""
-    failures = []
-    for n in range(1, max_n + 1):
-        for d in range(n):
-            report = zero_section_report(n, d)
-            if not report["ok"]:
-                failures.append({"n": n, "d": d})
-    return {"name": "thom_zero_section", "pass": not failures,
-            "details": {"max_n": max_n, "failures": failures}}
+    return _grid("thom_zero_section", _zero_section, max_n, proper=True)
 
 
 def check_hopf_algebroid(max_order=6, poincare_degree=12):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import argparse_oracle
-from cobalt import cli
+from cobalt import cli, verify
 from cobalt.cli import main
 
 
@@ -79,8 +79,47 @@ def test_grass_products_witness(capsys, monkeypatch):
     code, report = run_json(capsys, "grass", "--n", "3", "--d", "1",
                             "--verify", "products")
     assert code == 1
+    # every pair with a nonzero product in the 1 x 2 box, in basis order
     assert report["checks"] == [{"name": "products", "pass": False,
-                                 "witness": {"a": [], "b": []}}]
+                                 "witness": [
+                                     {"a": [], "b": []}, {"a": [], "b": [1]},
+                                     {"a": [], "b": [2]}, {"a": [1], "b": []},
+                                     {"a": [1], "b": [1]},
+                                     {"a": [2], "b": []}]}]
+
+
+def test_every_grass_check_runs(capsys):
+    for token in cli.COMMANDS["grass"][2]["--verify"][0]:
+        code, report = run_json(capsys, "grass", "--n", "3", "--d", "1",
+                                "--verify", token)
+        assert code == 0, token
+        assert all(c["pass"] and "witness" not in c
+                   for c in report["checks"]), token
+
+
+def test_grass_and_verify_all_share_the_witness(capsys, monkeypatch):
+    monkeypatch.setattr("cobalt.grassmann.lr_multiply",
+                        lambda a, b, d, r: {})
+    code, report = run_json(capsys, "grass", "--n", "3", "--d", "1",
+                            "--verify", "products")
+    assert code == 1
+    result = verify.check_structure_constants(3)
+    assert not result["pass"]
+    entry, = [f for f in result["details"]["failures"]
+              if (f["n"], f["d"]) == (3, 1)]
+    assert entry == {"n": 3, "d": 1,
+                     "witness": report["checks"][0]["witness"]}
+
+
+def test_verify_all_failure_entries(monkeypatch):
+    # lattices that never agree: one {"n", "d", "witness"} per proper box
+    monkeypatch.setattr("cobalt.snf.lattices_equal", lambda a, b: False)
+    result = verify.check_restriction_complex(2)
+    assert result == {"name": "restriction_complex", "pass": False,
+                      "details": {"max_n": 2, "failures": [
+                          {"n": 1, "d": 0, "witness": [0]},
+                          {"n": 2, "d": 0, "witness": [0]},
+                          {"n": 2, "d": 1, "witness": [0, 1]}]}}
 
 
 def test_fgl_report(capsys):
@@ -863,15 +902,15 @@ def test_parse_args_matches_the_argparse_oracle(drawn):
     new = _outcome(cli.parse_args, argv)
     if old == new:
         return
+    # argparse takes a "--" anywhere for its end-of-options marker and
+    # drops it, even from --opt=--
+    if any(token == "--" or token.endswith("=--") for token in argv):
+        return
     if isinstance(old, dict) and old["command"] == "verify-all":
         # the table refuses a budget that is not a finite number > 0,
         # also one that a later --budget overrides
         assert new == 2, (argv, old)
         assert any(not 0 < float(b) < math.inf for b in budgets), argv
-        return
-    # argparse takes a "--" anywhere for its end-of-options marker and
-    # drops it, even from --opt=--
-    if any(token == "--" or token.endswith("=--") for token in argv):
         return
     # argparse refuses a value that starts with "-" as an option, unless
     # the old --window join rescued it; the table takes it (and goes on to

@@ -26,6 +26,8 @@ from cobalt.rings import (
 )
 
 from cobalt import snf
+from cobalt.grassmann import partitions_of
+from cobalt.lr import lr_coefficient
 
 from echelon_oracle import pivot_columns as oracle_pivot_columns
 from monomial_oracle import monomials_of_degree as oracle_monomials_of_degree
@@ -156,6 +158,20 @@ def test_monomial_listing_leaves_no_reference_cycle():
         for ring in rings:
             for _ in range(10):
                 ring.monomials_of_degree(6, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_recursive_parsers_and_counts_leave_no_reference_cycle():
+    ring = polynomial_ring("Z", [("x1", 1), ("x2", 2)])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            parse_expression("-(x1 - 3)*(x1 + x2)^2", ring)
+            partitions_of(6, 4, 4)
+            lr_coefficient((2, 1), (2, 1), (3, 2, 1))
         assert gc.collect() == 0
     finally:
         gc.enable()
