@@ -191,9 +191,11 @@ def check_landweber_suite(seed=0, perturbations=5):
 
 
 def _zero_section(n, d):
-    """zero_section_report as (ok, witness), the report its own witness."""
+    """zero_section_report as (ok, witness), the witness the two identities."""
     report = zero_section_report(n, d)
-    return report["ok"], None if report["ok"] else report
+    return report["ok"], None if report["ok"] else {
+        "restriction": report["restriction"],
+        "zero_section": report["zero_section"]}
 
 
 def check_zero_section(max_n=6):

@@ -122,6 +122,18 @@ def test_verify_all_failure_entries(monkeypatch):
                           {"n": 2, "d": 1, "witness": [0, 1]}]}}
 
 
+def test_zero_section_witness_names_the_identities(monkeypatch):
+    monkeypatch.setattr(verify, "zero_section_report", lambda n, d: {
+        "n": n, "d": d, "restriction": True, "zero_section": d > 0,
+        "ok": d > 0})
+    result = verify.check_zero_section(2)
+    assert result["details"]["failures"] == [
+        {"n": 1, "d": 0,
+         "witness": {"restriction": True, "zero_section": False}},
+        {"n": 2, "d": 0,
+         "witness": {"restriction": True, "zero_section": False}}]
+
+
 def test_fgl_report(capsys):
     code, report = run_json(capsys, "fgl", "--law", "multiplicative",
                             "--N", "4", "--check", "--p-series", "2",
@@ -904,13 +916,16 @@ def test_parse_args_matches_the_argparse_oracle(drawn):
         return
     # argparse takes a "--" anywhere for its end-of-options marker and
     # drops it, even from --opt=--
-    if any(token == "--" or token.endswith("=--") for token in argv):
-        return
+    dashes = any(token == "--" or token.endswith("=--") for token in argv)
     if isinstance(old, dict) and old["command"] == "verify-all":
         # the table refuses a budget that is not a finite number > 0,
-        # also one that a later --budget overrides
+        # also one that a later --budget overrides, and an option value
+        # that argparse read past a "--"
         assert new == 2, (argv, old)
-        assert any(not 0 < float(b) < math.inf for b in budgets), argv
+        assert dashes or any(not 0 < float(b) < math.inf for b in budgets), \
+            argv
+        return
+    if dashes:
         return
     # argparse refuses a value that starts with "-" as an option, unless
     # the old --window join rescued it; the table takes it (and goes on to
