@@ -149,6 +149,8 @@ def _read_json(path):
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply") from None
 
 
 def _coefficient_value(value, ring):

@@ -231,9 +231,6 @@ class GrassRing:
         matrix = [[self.pairing(a, b) for b in cols] for a in rows]
         return rows, cols, matrix
 
-    def component(self, degree):
-        return graded_component(self.ring, degree)
-
     def __repr__(self):
         return f"GrassRing(n={self.n}, d={self.d})"
 
@@ -270,21 +267,17 @@ def schur_polynomial(ring, partition, rows):
     table = {0: ring.one()}
     for mask in range(1, full + 1):
         row = bin(mask).count("1") - 1
-        acc = ring.zero()
+        pairs = []
         seen = 0
         for col in range(rows):
             if not mask & (1 << col):
                 continue
             e = entry(row, col)
             if e is not None:
-                prev = table[mask ^ (1 << col)]
-                if not prev.is_zero():
-                    term = prev * e
-                    if (row + seen) % 2:
-                        term = -term
-                    acc = acc + term
+                pairs.append((table[mask ^ (1 << col)],
+                              -e if (row + seen) % 2 else e))
             seen += 1
-        table[mask] = acc
+        table[mask] = ring.dot(pairs)
     return table[full]
 
 
@@ -387,7 +380,7 @@ def verify_ranks(n, d):
     if len(G.partitions()) != G.rank:
         return False, ["total rank", len(G.partitions()), G.rank]
     for degree in range(G.d * G.r + 2):
-        report = G.component(degree)
+        report = graded_component(G.ring, degree)
         expected = len(G.partitions(degree))
         if report.truncated or report.torsion or report.free_rank != expected:
             return False, [degree, report.free_rank, expected,

@@ -252,10 +252,7 @@ def _transport_law(law, target, images, order):
 class InducedHopf:
     """A two-sided copy of an algebra joined by a strict isomorphism."""
 
-    def __init__(self, base_ring, law, ring, eta_L, eta_R, counit,
-                 relation_sources, N):
-        self.base_ring = base_ring
-        self.law = law
+    def __init__(self, ring, eta_L, eta_R, counit, relation_sources, N):
         self.ring = ring
         self.eta_L = eta_L
         self.eta_R = eta_R
@@ -363,8 +360,7 @@ def induced_hopf(A_pres, law, N):
     counit.update({f"{s.name}_R": A_pres.gen(s.name) for s in specs})
     counit.update({f"b{i}": A_pres.zero() for i in range(1, N)})
 
-    return InducedHopf(A_pres, law, big, eta_L, eta_R, counit,
-                       relation_sources, N)
+    return InducedHopf(big, eta_L, eta_R, counit, relation_sources, N)
 
 
 def cooperations_poincare(N):

@@ -12,7 +12,10 @@ share one signed field, so the key of a product is ka + kb - offset and
 g * g_inv cancels in the addition.  Exponent tuples, indexed by
 generator position and in normal form, appear only at the boundary: the
 constructor, `exponent_terms`, printing, monomial enumeration and the
-carriers `degree_lattice` hands out.  The README's design note covers
+carriers `degree_lattice` hands out.  `Ring.dot` is the one
+multiplication kernel, and no other module names a key.  Only `map_to`
+sums products outside it, so as not to hold them all, and starts again
+when a power widened the target.  The README's design note covers
 widths, widening and the signed fields.  Everything is immutable in
 spirit: operations build new values, and a ring is frozen once its
 relations are imposed.
@@ -252,21 +255,37 @@ class Ring:
     def monomial_degree(self, exps):
         return sum(e * g.adams_degree for e, g in zip(exps, self.gens))
 
-    def add_product(self, out, a, b):
-        """Add the product of the term dicts `a` and `b` into `out`.
+    def dot(self, pairs):
+        """The sum of a*b over `pairs`, a list of Polynomial pairs.
 
-        The one multiplication kernel: a product key is ka + kb minus
-        the key of 1, exact for stored keys of the current packing.
-        `out` maps keys to coefficients and may hold zeros, which
-        `Polynomial._product` drops when the caller builds its result.
+        The one multiplication kernel: operands on an older packing are
+        repacked, and a product key is ka + kb minus the key of 1.  A
+        result past the stored bound (it can reach twice it) doubles the
+        ring's width and moves to the new packing, so callers build the
+        whole list before the call.
+
+        >>> ring = polynomial_ring("Z", [("x", 1), ("y", 1)])
+        >>> x, y = ring.gen("x"), ring.gen("y")
+        >>> ring.dot([(x, x + y), (y, 2 - x)]), ring.dot([])
+        (x^2 + 2*y, 0)
         """
-        offset = self.pack.offset
+        pack = self.pack
+        offset = pack.offset
+        out = {}
         get = out.get
-        for ka, ca in a.items():
-            ka -= offset
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
+        for a, b in pairs:
+            if a.pack is not pack or b.pack is not pack:
+                self.align(a, b)
+            for ka, ca in a.terms.items():
+                ka -= offset
+                for kb, cb in b.terms.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+        poly = Polynomial._raw(self, out, pack)
+        if reduce(or_, map(pack.less_quarter, poly.terms), 0) & pack.guard:
+            self.widen(2 * pack.width)
+            self.align(poly)
+        return poly
 
     def monomials_of_degree(self, degree, bound):
         """Normal-form monomials of one Adams degree, exponents <= bound.
@@ -397,17 +416,6 @@ class Polynomial:
                 clean[key] = c
         return poly
 
-    @classmethod
-    def _product(cls, ring, terms, pack):
-        """`_raw` for a sum of products, whose exponents may reach twice
-        the stored bound: the ring then doubles its width and the result
-        moves to the new packing."""
-        poly = cls._raw(ring, terms, pack)
-        if reduce(or_, map(pack.less_quarter, poly.terms), 0) & pack.guard:
-            ring.widen(2 * pack.width)
-            ring.align(poly)
-        return poly
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
@@ -455,12 +463,7 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = self.ring
-        if self.pack is not ring.pack or other.pack is not ring.pack:
-            ring.align(self, other)
-        out = {}
-        ring.add_product(out, self.terms, other.terms)
-        return Polynomial._product(ring, out, ring.pack)
+        return self.ring.dot([(self, other)])
 
     __rmul__ = __mul__
 
@@ -530,17 +533,13 @@ class Polynomial:
         or Q -> Z when no denominators are present.
         """
         pack = target.pack
-        own = self.pack     # self may be an image, repacked in the loop
         powers = {}     # (generator index, exponent) -> image power
         out = {}
-        for key, c in self.terms.items():
+        for exps, c in self.exponent_terms().items():
             c = target.coerce(c)
             term = None
-            for i, j, shift, bias, _ in own.layout:
-                e = (key >> shift & own.mask) - bias
+            for i, e in enumerate(exps):
                 if e:
-                    if e < 0:
-                        i, e = j, -e
                     power = powers.get((i, e))
                     if power is None:
                         name = self.ring.gens[i].name
@@ -739,8 +738,10 @@ def graded_component(ring, degree, exponent_bound=None):
 _OPS = set("+-*^()")
 
 # The parser refuses a power whose last squaring would multiply more
-# term pairs than this (a fixed bound, not an option).
+# term pairs than this, and parentheses nested deeper than MAX_NESTING,
+# well inside the interpreter's recursion limit (fixed bounds, not options).
 MAX_POWER_PAIRS = 10 ** 6
+MAX_NESTING = 100
 
 
 def _power_too_large(terms, k):
@@ -812,7 +813,7 @@ class _Parser:
 
     def __init__(self, text, ring):
         self.text, self.ring = text, ring
-        self.tokens, self.pos = _tokenize(text), 0
+        self.tokens, self.pos, self.depth = _tokenize(text), 0, 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -873,7 +874,13 @@ class _Parser:
                     f"unknown identifier {tok[1]!r}", tok[2], self.text)
             return self.ring.gen(tok[1])
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nest deeper than {MAX_NESTING}", tok[2],
+                    self.text)
+            self.depth += 1
             inner = self.parse_sum()
+            self.depth -= 1
             closing = self.advance()
             if closing[0] != ")":
                 raise ExpressionSyntaxError(
@@ -887,9 +894,9 @@ def parse_expression(text, ring):
     """Parse `text` into a Polynomial over `ring`.
 
     Grammar: integer literals, generator names, +, -, *, ^ with positive
-    integer exponents, and parentheses.  Division, unknown identifiers
-    and a power past `MAX_POWER_PAIRS` are rejected with the offending
-    column.
+    integer exponents, and parentheses.  Division, unknown identifiers,
+    a power past `MAX_POWER_PAIRS` and parentheses nested past
+    `MAX_NESTING` are rejected with the offending column.
     """
     parser = _Parser(text, ring)
     value = parser.parse_sum()

@@ -14,6 +14,10 @@ constant term and reversion a zero constant term plus a unit linear
 term; these, `derivative`, `integrate` and printing take one variable.
 Violations raise the dedicated errors rather than producing garbage.
 
+Products, substitution and inversion build each coefficient with one
+`Ring.dot` over a list of pairs completed first, so a product that
+widens the ring needs no restart, and no monomial key is seen here.
+
 F(x, y) = x + y - xy evaluated at x + x^2 and 2x:
 
 >>> from cobalt.rings import polynomial_ring
@@ -73,7 +77,7 @@ class TruncSeries:
         series.ring = ring
         series.order = order
         series.nvars = nvars
-        series.coeffs = {k: c for k, c in coeffs.items() if c.terms}
+        series.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         return series
 
     def _exponents(self, k):
@@ -149,17 +153,16 @@ class TruncSeries:
         if other is NotImplemented:
             return NotImplemented
         order = min(self.order, other.order)
-        self.ring.align(*self.coeffs.values(), *other.coeffs.values())
-        right = [(j, sum(j), b.terms) for j, b in other.coeffs.items()]
-        add_product = self.ring.add_product
-        out = {}
+        right = [(j, sum(j), b) for j, b in other.coeffs.items()]
+        pairs = {}      # output exponents -> the coefficient pairs there
         for i, a in self.coeffs.items():
             room = order - sum(i)
             for j, degree, b in right:
                 if degree <= room:
-                    k = tuple(map(add, i, j))
-                    add_product(out.setdefault(k, {}), a.terms, b)
-        return _from_terms(self.ring, order, out, self.nvars)
+                    pairs.setdefault(tuple(map(add, i, j)), []).append((a, b))
+        return TruncSeries._raw(
+            self.ring, order, {k: self.ring.dot(p) for k, p in pairs.items()},
+            self.nvars)
 
     __rmul__ = __mul__
 
@@ -199,14 +202,11 @@ class TruncSeries:
             if zero in g.coeffs:
                 raise NonzeroConstantInner(
                     "inner series has nonzero constant term")
-        ring = self.ring
-        pack = ring.pack
         order = min([self.order] + [g.order for g in args])
-        one = ring.one()
+        one = self.ring.one()
         bare = [_bare_variable(g, one) for g in args]
         powers = [[None, g.truncate(order)] for g in args]
-        add_product = ring.add_product
-        total = {}
+        pairs = {}      # output exponents -> the coefficient pairs there
         for exps, c in self.coeffs.items():
             term = None
             shift = zero
@@ -221,21 +221,16 @@ class TruncSeries:
                 term = cache[e] if term is None else term * cache[e]
             if sum(shift) > order:
                 continue
-            ring.align(c)
             if term is None:
-                acc = total.setdefault(shift, {})
-                for key, v in c.terms.items():
-                    acc[key] = acc.get(key, 0) + v
+                pairs.setdefault(shift, []).append((c, one))
                 continue
-            ring.align(*term.coeffs.values())
             for k, t in term.coeffs.items():
                 k = tuple(map(add, k, shift))
                 if sum(k) <= order:
-                    add_product(total.setdefault(k, {}), t.terms, c.terms)
-        if ring.pack is not pack:
-            # a product widened the ring: the keys summed so far are stale
-            return self.subst(args)
-        return _from_terms(ring, order, total, nvars)
+                    pairs.setdefault(k, []).append((t, c))
+        return TruncSeries._raw(
+            self.ring, order, {k: self.ring.dot(p) for k, p in pairs.items()},
+            nvars)
 
     def compose(self, inner):
         """self(inner(x)); the inner series must have zero constant term."""
@@ -258,16 +253,12 @@ class TruncSeries:
         inv0 = self._constant_unit_inverse(
             self.coeff(0),
             NonUnitConstantTerm("series constant term is not a unit"))
+        scale = -inv0.constant_term()
         out = {0: inv0}
         for k in range(1, self.order + 1):
-            acc = self.ring.zero()
-            for j in range(1, k + 1):
-                cj = self.coeff(j)
-                if not cj.is_zero() and (k - j) in out:
-                    acc = acc + cj * out[k - j]
-            term = -(acc * inv0)
-            if not term.is_zero():
-                out[k] = term
+            out[k] = self.ring.dot([(c, out[k - j])
+                                    for (j,), c in self.coeffs.items()
+                                    if 0 < j <= k]) * scale
         return TruncSeries(self.ring, self.order, out)
 
     def revert(self):
@@ -349,12 +340,3 @@ def _bare_variable(g, one):
             return k
     return None
 
-
-def _from_terms(ring, order, terms, nvars):
-    """The series whose coefficients have the term dicts in `terms`,
-    keyed in the ring's current packing."""
-    pack = ring.pack
-    return TruncSeries._raw(
-        ring, order,
-        {k: Polynomial._product(ring, t, pack) for k, t in terms.items()},
-        nvars)

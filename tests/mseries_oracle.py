@@ -38,9 +38,9 @@ def normal_form(ring, exps):
 def _times(a, b):
     """The Polynomial a * b by a naive term loop over exponent tuples.
 
-    The tuple kernel `Ring.add_product` had before monomials were
-    packed into ints: it adds exponent tuples and cancels each g * g_inv
-    pair itself, so it shares no key arithmetic with `cobalt.rings`.
+    The tuple kernel `Ring.dot` replaced when monomials were packed
+    into ints: it adds exponent tuples and cancels each g * g_inv pair
+    itself, so it shares no key arithmetic with `cobalt.rings`.
     """
     ring = a.ring
     out = {}

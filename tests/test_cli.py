@@ -647,6 +647,34 @@ def test_a_power_within_the_term_pair_bound_parses(capsys, tmp_path,
     assert report["exact"]
 
 
+def test_parentheses_nested_too_deeply_are_refused(capsys, tmp_path):
+    coeff = _module_file(tmp_path, {
+        "base": "Z", "generators": [{"name": "x", "adams_degree": 1}],
+        "relations": ["(" * 3000 + "x" + ")" * 3000]})
+    code = main(["oriented", "--coeff", coeff, "--n", "3", "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("cobalt: error: ")
+    assert "nest deeper than 100 (at column 101)" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["landweber", "--law", "FILE"],
+    ["landweber", "--law", "additive", "--module", "FILE"],
+    ["oriented", "--coeff", "FILE", "--n", "3", "--d", "1"],
+    ["hopf", "--N", "2", "--induced", "FILE"]])
+def test_json_nested_too_deeply_is_refused(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code = main([str(path) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("cobalt: error: ")
+    assert "is nested too deeply" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # -- the loaders under drawn JSON ----------------------------------------
 
 _KEYS = st.sampled_from([

@@ -15,6 +15,7 @@ from cobalt.errors import (
     UnknownIdentifier,
 )
 from cobalt.rings import (
+    MAX_NESTING,
     GenSpec,
     Ring,
     degree_lattice,
@@ -454,6 +455,34 @@ def test_parser_positions_are_columns():
     assert "column 6" in str(err.value)
 
 
+_ATOMS = st.one_of(st.sampled_from(["x1", "x2", "x9", "_", "+", "-", "*",
+                                     "^", "(", ")", " ", "/", "$", ".", "²",
+                                     "é", "\t"]),
+                   st.integers(0, 40).map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ATOMS, max_size=30).map(" ".join))
+@example("(" * 300 + "x1" + ")" * 300)
+def test_the_parser_returns_a_polynomial_or_raises_an_input_error(text):
+    ring = polynomial_ring("Z", [("x1", 1), ("x2", 2)])
+    try:
+        value = parse_expression(text, ring)
+    except InputError:
+        return
+    assert value.ring is ring
+    assert_canonical(value)
+
+
+def test_parentheses_nested_too_deeply_are_refused_where_they_open():
+    ring = polynomial_ring("Z", [("x1", 1)])
+    deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_expression(deep, ring) == ring.gen("x1")
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression("-" + "(" + deep + ")", ring)
+    assert err.value.position == MAX_NESTING + 1
+
+
 def test_load_presentation():
     doc = {
         "base": "Z",
@@ -653,6 +682,18 @@ def test_packed_products_match_the_tuple_kernel(data):
     assert ring.pack.width >= width
     assert str(a) == a_text and hash(a) == a_hash
     assert (a + product) - product == a
+    # a sum of products, some operands left on an older packing
+    pairs = [(ring.poly(data.draw(terms)), ring.poly(data.draw(terms)))
+             for _ in range(data.draw(st.integers(0, 4)))]
+    if data.draw(st.booleans()):
+        ring.widen(2 * ring.pack.width)
+    expected = {}
+    for x, y in pairs:
+        expected = reference_sum(expected, _times(x, y).exponent_terms())
+    total = ring.dot(pairs)
+    assert total.exponent_terms() == expected
+    assert total.pack is ring.pack
+    assert_canonical(total)
 
 
 def test_a_product_past_the_stored_limit_widens_the_ring():
