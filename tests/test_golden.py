@@ -130,6 +130,36 @@ COPRIME_LAW = {
     "coefficients": [],
 }
 
+# Z[beta, 1/beta] with |beta| = 2 and generators in degrees 0 and 1,
+# torsion on the degree-1 one only: even and odd degrees answer apart,
+# and p = 2 fails at stage 0 in an odd degree
+EVEN_ODD_MODULE = {
+    "ring": {"base": "Z",
+             "generators": [{"name": "beta", "adams_degree": 2,
+                             "invertible": True}],
+             "relations": []},
+    "generators": [{"name": "e", "adams_degree": 0},
+                   {"name": "f", "adams_degree": 1}],
+    "relations": [{"f": 2}],
+}
+
+# Z[beta, 1/beta] with |beta| = -3: a unit of negative degree
+MINUS_THREE_MODULE = {
+    "ring": {"base": "Z",
+             "generators": [{"name": "beta", "adams_degree": -3,
+                             "invertible": True}],
+             "relations": []},
+    "generators": [{"name": "e", "adams_degree": 0},
+                   {"name": "f", "adams_degree": 1}],
+    "relations": [{"e": 6}, {"f": "3*beta"}],
+}
+
+# the free module over Q[beta, 1/beta, t] with |t| = 2: a unit and a
+# free generator, so every degree meets the exponent bound
+LAURENT_T_MODULE = {
+    "ring": LAURENT_T_LAW["ring"],
+}
+
 INPUT_FILES = {"law": LAW_FILE, "torsion": TORSION_MODULE,
                "rational": RATIONAL_MODULE, "additive": ADDITIVE_LAW_FILE,
                "degree_zero": DEGREE_ZERO_MODULE,
@@ -137,7 +167,10 @@ INPUT_FILES = {"law": LAW_FILE, "torsion": TORSION_MODULE,
                "laurent_module": LAURENT_MODULE,
                "q_relation_law": Q_RELATION_LAW,
                "laurent_t_law": LAURENT_T_LAW,
-               "balanced_law": BALANCED_LAW, "coprime_law": COPRIME_LAW}
+               "balanced_law": BALANCED_LAW, "coprime_law": COPRIME_LAW,
+               "even_odd_module": EVEN_ODD_MODULE,
+               "minus_three_module": MINUS_THREE_MODULE,
+               "laurent_t_module": LAURENT_T_MODULE}
 
 
 def _fgl_commands():
@@ -206,6 +239,16 @@ COMMANDS = _fgl_commands() + [
      "--height", "1", "--window", "0:0"],
     ["landweber", "--law", "{coprime_law}", "--primes", "2,3",
      "--height", "1", "--window", "-3:3"],
+    # Landweber stages over rings with units of degree 2, -3 and 1
+    ["landweber", "--module", "{even_odd_module}", "--law", "multiplicative",
+     "--primes", "2,3,5", "--height", "2", "--window", "-2:5"],
+    ["landweber", "--module", "{minus_three_module}", "--law",
+     "multiplicative", "--primes", "2,3,5", "--height", "2",
+     "--window", "-4:4"],
+    ["landweber", "--module", "{laurent_t_module}", "--law",
+     "multiplicative", "--primes", "2,3", "--height", "1", "--window", "-3:3"],
+    ["landweber", "--law", "multiplicative", "--primes", "2,3,5",
+     "--height", "3", "--window", "-200:200"],
 ] + [
     # every Grassmannian check on every box the default size limit admits
     ["grass", "--n", str(n), "--d", str(d), "--verify", "all"]
