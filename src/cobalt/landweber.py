@@ -15,6 +15,18 @@ vanishes there and whether each preimage vector lies in the source.  A
 stage whose element is a constant unit of the scalars is injective
 without linear algebra.
 
+Over a ring with units the work is done once per period.  Let g be the
+gcd of the Adams degrees of the invertible generators (`unit_period`).
+Multiplying by a unit of degree g maps degree d of every Q_n onto degree
+d + g, and it commutes with each v_n.  So whether Q_n vanishes in degree
+d and whether v_n is injective out of d are shared by the degrees
+congruent mod g.  Each class is computed at its first window degree, in
+sweep order.  The first failing degree is therefore computed at itself,
+and its witness coordinates are those of its own carrier.  Truncation
+is still decided in every degree, from the enumeration flags of the
+blocks that degree would build (`rings.lattice_truncated`); no row is
+built for them.  With no unit, g is 0 and each degree is its own class.
+
 Stage statuses:
   quotient_vanishes    every window degree of Q_n is zero
   regular              every checkable degree pair passed injectivity
@@ -27,10 +39,11 @@ prime is regular or quotient_vanishes.
 """
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import InhomogeneousRelation, InputError
 from .fgl import landweber_generators
-from .rings import Polynomial, degree_lattice
+from .rings import Polynomial, degree_lattice, lattice_truncated
 from . import snf
 
 
@@ -120,6 +133,14 @@ class _Truncated(Exception):
     pass
 
 
+def unit_period(ring):
+    """The gcd of the Adams degrees of the ring's invertible generators,
+    0 when it has none.  Some unit u has this degree, and multiplying by
+    u maps each degree of every quotient Q_n isomorphically onto the
+    degree |u| higher, commuting with every v_n."""
+    return gcd(*(g.adams_degree for g in ring.gens if g.invertible))
+
+
 class _Analyzer:
     def __init__(self, module, sequence, window, bound):
         self.module = module
@@ -127,6 +148,11 @@ class _Analyzer:
         self.sequence = sequence
         self.window = window
         self.bound = bound
+        self.period = unit_period(self.ring)
+        self._elements = {}
+        # degree -> the next block whose flag check_truncation reads:
+        # -1 for the relation block, else k for the v_k block
+        self._checked = {}
         self._blocks = {}
         self._echelons = {}
 
@@ -141,25 +167,42 @@ class _Analyzer:
                 for p, d in zip(polys, degrees) if d is not None
                 for gname, gdeg in self.module.generators]
 
-    def block(self, degree, k):
-        """Carrier and rows of one element block in one degree: the ring
-        relations times the generators and the module relations when k
-        is None, else v_k times the generators.  Raises if truncated."""
-        key = (degree, k)
-        if key not in self._blocks:
+    def elements(self, k):
+        """The elements of block k in every degree: the ring relations
+        times the generators and the module relations when k is None,
+        else v_k times the generators."""
+        if k not in self._elements:
             if k is None:
-                elements = (self.times_generators(
+                self._elements[k] = (self.times_generators(
                     self.ring.relations, self.ring.relation_degrees)
                     + self.module.relations)
             else:
-                elements = self.times_generators([self.sequence[k]])
+                self._elements[k] = self.times_generators([self.sequence[k]])
+        return self._elements[k]
+
+    def block(self, degree, k):
+        """Carrier and rows of element block k in one degree.  Raises if
+        truncated."""
+        key = (degree, k)
+        if key not in self._blocks:
             carrier, rows, truncated = degree_lattice(
-                self.ring, degree, self.module.generators, elements,
+                self.ring, degree, self.module.generators, self.elements(k),
                 self.bound)
             self._blocks[key] = None if truncated else (carrier, rows)
         if self._blocks[key] is None:
             raise _Truncated()
         return self._blocks[key]
+
+    def check_truncation(self, degree, stage):
+        """Raise as `echelon(degree, stage)` would on a truncated block,
+        from the enumeration flags alone: no block is built, and each
+        block's flag is read once."""
+        for k in range(self._checked.get(degree, -1), stage):
+            if lattice_truncated(self.ring, degree, self.module.generators,
+                                 self.elements(None if k < 0 else k),
+                                 self.bound):
+                raise _Truncated()
+            self._checked[degree] = k + 1
 
     def presentation(self, degree, stage):
         """Carrier and rows of Q_stage in one degree: the relation block,
@@ -208,13 +251,25 @@ class _Analyzer:
 
     # -- stage driver ----------------------------------------------
 
+    def residue(self, degree):
+        """The class of `degree` whose members share zero-ness and
+        injectivity: its residue mod the unit period, else itself."""
+        return degree % self.period if self.period else degree
+
     def stage(self, n):
         self._stage = n
         lo, hi = self.window
+        # the answer of each class, computed at its first window degree
+        is_zero, injective = {}, set()
         try:
             nonzero = []
             for degree in range(lo, hi + 1):
-                if not self.component_is_zero(degree):
+                c = self.residue(degree)
+                if c in is_zero:
+                    self.check_truncation(degree, n)
+                else:
+                    is_zero[c] = self.component_is_zero(degree)
+                if not is_zero[c]:
                     nonzero.append(degree)
             if not nonzero:
                 return StageResult(n, "quotient_vanishes",
@@ -233,13 +288,20 @@ class _Analyzer:
                 return StageResult(
                     n, "window_inconclusive",
                     detail=f"no degree pair (d, d{shift:+d}) fits the window")
+            # a class that passed shares its answer.  A later member's
+            # multiplier block would list the carriers of d + shift and,
+            # for its multipliers, of d: the sweep has read those flags
             for degree in checkable:
+                c = self.residue(degree)
+                if c in injective:
+                    continue
                 good, witness = self.injective_at(v, degree)
                 if not good:
                     return StageResult(
                         n, "fails", witness_degree=degree,
                         detail="multiplication is not injective; witness "
                                f"coordinates {witness}")
+                injective.add(c)
             return StageResult(n, "regular")
         except _Truncated:
             return StageResult(

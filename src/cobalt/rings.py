@@ -159,9 +159,10 @@ class Ring:
         self.relations = []
         self.relation_degrees = []          # parallel; None for a zero one
         self.pack = _Packing(self, 16)      # widened as exponents grow
-        # (degree, bound) -> [monomials, flag, packing, keys in it], read
-        # by degree_lattice only
+        # (degree, bound) -> [monomials, packing, keys in it], read by
+        # degree_lattice only
         self._enumerations = {}
+        self._flags = {}        # (degree, bound) -> _beyond_bound
         # per field g and sign s of its exponent, read by _beyond_bound:
         # s*|g| and the sorted nonzero steps of a cofactor of g^s
         options = [[s * self.gens[i].adams_degree
@@ -361,8 +362,11 @@ class Ring:
         value above `bound`: g^(s*(bound+1)) times a cofactor whose steps
         are the generator degrees, an invertible one with both signs,
         but g's own step with the sign s alone."""
-        return any(_reachable(degree - (bound + 1) * a, steps)
-                   for a, steps in self._past_bound)
+        key = (degree, bound)
+        if key not in self._flags:
+            self._flags[key] = any(_reachable(degree - (bound + 1) * a, steps)
+                                   for a, steps in self._past_bound)
+        return self._flags[key]
 
     def _monomial_str(self, exps):
         parts = []
@@ -630,16 +634,28 @@ class GradedComponentReport:
 
 
 def _enumeration(ring, degree, bound):
-    """(monomials, flag, keys) of `monomials_of_degree(degree, bound)`,
-    the keys in the ring's current packing.  Each ring lists a (degree,
-    bound) pair once; its keys are taken again after a widening."""
+    """(monomials, keys) of `monomials_of_degree(degree, bound)`, the keys
+    in the ring's current packing.  Each ring lists a (degree, bound)
+    pair once; its keys are taken again after a widening."""
     entry = ring._enumerations.get((degree, bound))
     if entry is None:
         entry = ring._enumerations[degree, bound] = [
-            *ring.monomials_of_degree(degree, bound), None, None]
-    if entry[2] is not ring.pack:
-        entry[2], entry[3] = ring.pack, list(map(ring.pack.key, entry[0]))
-    return entry[0], entry[1], entry[3]
+            ring.monomials_of_degree(degree, bound)[0], None, None]
+    if entry[1] is not ring.pack:
+        entry[1], entry[2] = ring.pack, list(map(ring.pack.key, entry[0]))
+    return entry[0], entry[2]
+
+
+def lattice_truncated(ring, degree, generators, elements, bound):
+    """The `truncated` flag of `degree_lattice` on the same arguments,
+    decided without listing a monomial or building a row: whether the
+    listing of a carrier degree degree - |e_i| or of a multiplier degree
+    degree - |element| leaves out a monomial past the bound.  A product
+    term falls outside the carrier only where the carrier's own listing
+    is incomplete, so these listings decide the flag."""
+    return any(ring._beyond_bound(degree - d, bound) for d in
+               [d for _, d in generators or ()]
+               + [d for d, _ in elements if d is not None])
 
 
 def degree_lattice(ring, degree, generators, elements, bound):
@@ -651,8 +667,9 @@ def degree_lattice(ring, degree, generators, elements, bound):
     coordinates, generator by generator, monomials descending, or with
     generators None every coordinate a row reaches, sorted.  Each row is
     one monomial multiple of an element.  `truncated` says that an
-    enumeration left a monomial past the bound out; only then can a
-    product term fall outside the carrier, and it is appended to it.
+    enumeration left a monomial past the bound out (`lattice_truncated`);
+    only then can a product term fall outside the carrier, and it is
+    appended to it.
 
     Inside, coordinates are (name, key) pairs: the ring is first widened
     until the bound is a stored exponent, so the row of monomial m times
@@ -663,12 +680,11 @@ def degree_lattice(ring, degree, generators, elements, bound):
     while bound >> (ring.pack.width - 2):
         ring.widen(2 * ring.pack.width)
     pack = ring.pack
-    truncated = False
+    truncated = lattice_truncated(ring, degree, generators, elements, bound)
     carrier = []
     position = {}
     for name, gdeg in generators or ():
-        monos, flag, keys = _enumeration(ring, degree - gdeg, bound)
-        truncated = truncated or flag
+        monos, keys = _enumeration(ring, degree - gdeg, bound)
         position.update(((name, k), i)
                         for i, k in enumerate(keys, len(carrier)))
         carrier.extend((name, m) for m in monos)
@@ -676,8 +692,7 @@ def degree_lattice(ring, degree, generators, elements, bound):
     for edeg, element in elements:
         if edeg is None:
             continue
-        _, flag, keys = _enumeration(ring, degree - edeg, bound)
-        truncated = truncated or flag
+        _, keys = _enumeration(ring, degree - edeg, bound)
         ring.align(*element.values())
         shifted = [(name, [(k - pack.offset, c)
                            for k, c in poly.terms.items()])

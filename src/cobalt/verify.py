@@ -207,12 +207,19 @@ def check_hopf_algebroid(max_order=6, poincare_degree=12):
     """Algebroid axioms, a corruption control, and cooperations dims."""
     details = {"orders": {}, "negative_control": False}
     ok = True
+    corrupted = None
     for N in range(2, max_order + 1):
-        report = verify_hopf_axioms(mumu_rational_truncated(N))
+        H = mumu_rational_truncated(N)
+        report = verify_hopf_axioms(H)
         details["orders"][str(N)] = report.ok
         ok = ok and report.ok
+        if N == 4:
+            corrupted = H
 
-    corrupted = mumu_rational_truncated(4)
+    # the N = 4 presentation, verified above, with one comultiplication
+    # value changed
+    if corrupted is None:
+        corrupted = mumu_rational_truncated(4)
     corrupted.comult["b2"] = corrupted.comult["b2"] \
         + corrupted.square.ring.gen("bL2")
     control = not verify_hopf_axioms(corrupted).ok

@@ -22,11 +22,12 @@ from cobalt.rings import (
     Polynomial,
     Ring,
     degree_lattice,
+    lattice_truncated,
     laurent_ring,
     polynomial_ring,
 )
 
-from cobalt import snf
+from cobalt import landweber, snf
 from cobalt.verify import regularity_cases
 
 import presentation_oracle
@@ -330,6 +331,11 @@ def test_degree_lattice_matches_oracle(data):
         ring, degree, module.generators, elements, bound)
     assert degree_lattice(ring, degree, None, elements, bound) == \
         presentation_oracle.reached(ring, degree, elements, bound)
+    # the flag without the rows
+    assert lattice_truncated(ring, degree, module.generators, elements,
+                             bound) == truncated
+    assert lattice_truncated(ring, degree, None, elements, bound) == \
+        degree_lattice(ring, degree, None, elements, bound)[2]
     # the enumerated coordinates, then any a product reached past them;
     # a product gets past them only where an enumeration left one out
     enumerated = [(name, m) for name, d in generators
@@ -420,3 +426,95 @@ def test_block_lattices_match_one_call(case):
                 assert echelon.quotient_is_zero() == \
                     snf.quotient_is_zero(len(carrier), rows,
                                          module.ring.localized_at)
+
+
+# -- one answer per class of degrees mod the unit period ----------------------
+
+
+def _laurent_module(data):
+    """A drawn module over Z, Z_(p) or Q with a unit u, |u| in +-1..3, and
+    maybe a free generator t.  Each relation has a term c*u^k e_i, k up
+    to 8, so its multipliers can reach past the exponent bound in some
+    window degrees and not in others."""
+    base, local = data.draw(st.sampled_from(
+        [("Z", None), ("Z", 2), ("Z", 3), ("Q", None)]))
+    unit = data.draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
+    specs = [GenSpec("u", unit, True)]
+    if data.draw(st.booleans()):
+        specs.append(GenSpec("t", data.draw(st.sampled_from([1, 2, -1]))))
+    ring = Ring(base, specs, localized_at=local)
+    degrees = data.draw(st.lists(st.integers(-2, 2), min_size=1,
+                                 max_size=2))
+    generators = [(f"e{i}", d) for i, d in enumerate(degrees)]
+    relations = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        name, d = data.draw(st.sampled_from(generators))
+        k = data.draw(st.integers(-16, 16))
+        rel = {other: _homogeneous(data, ring, d + k * unit - e)
+               for other, e in generators}
+        power = ring.gen("u") ** k if k >= 0 else ring.gen("u_inv") ** -k
+        rel[name] = rel[name] + data.draw(st.integers(-3, 3)) * power
+        relations.append(rel)
+    return ModulePresentation(ring, generators, relations)
+
+
+def _sequence_element(data, ring):
+    """A constant, a unit monomial or a drawn homogeneous element."""
+    kind = data.draw(st.sampled_from(["constant", "unit", "drawn"]))
+    if kind == "constant":
+        return ring.const(data.draw(st.sampled_from([0, 1, -1, 2, 3, 6])))
+    if kind == "unit":
+        k = data.draw(st.integers(-2, 2))
+        return ring.gen("u") ** k if k >= 0 else ring.gen("u_inv") ** -k
+    return _homogeneous(data, ring, data.draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sharing_per_class_keeps_every_verdict(data):
+    """Deciding each stage once per class of degrees mod the unit period
+    gives the verdict of the degree-by-degree route, witnesses and
+    details included."""
+    module = _laurent_module(data)
+    sequence = [_sequence_element(data, module.ring)
+                for _ in range(data.draw(st.integers(1, 3)))]
+    lo = data.draw(st.integers(-6, 3))
+    window = (lo, lo + data.draw(st.integers(0, 12)))
+    assert landweber.unit_period(module.ring) > 0
+    shared = check_regular(module, sequence, 2, window).to_dict()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landweber, "unit_period", lambda ring: 0)
+        assert check_regular(module, sequence, 2, window).to_dict() == shared
+
+
+def test_a_shared_degree_past_the_bound_keeps_the_stage_inconclusive():
+    """Over Z[u^+-1], |u| = 1, every window degree shares the answers of
+    the first one, -4, where 2 is not injective.  But the multipliers of
+    the relation 2*u^-8*e reach past the default bound 6 from degree -1
+    on, so the stage is inconclusive, as degree by degree."""
+    ring = Ring("Z", [GenSpec("u", 1, True)])
+    module = ModulePresentation(ring, [("e", 0)],
+                                [{"e": 2 * ring.gen("u_inv") ** 8}])
+    assert default_exponent_bound(module, [ring.const(2)], (-4, 2)) == 6
+    verdict = check_regular(module, [2], 2, (-4, 2))
+    assert statuses(verdict) == ["window_inconclusive"]
+    assert check_regular(module, [2], 2, (-4, -2)).stages[0].witness_degree \
+        == -4
+
+
+def test_kgl_echelons_do_not_grow_with_the_window(monkeypatch):
+    """Z[beta^+-1] has one class of degrees, so a KGL verdict factors
+    as many lattices on the window -60:60 as on -6:6."""
+    built = []
+    lattice = snf.Lattice
+    monkeypatch.setattr(snf, "Lattice",
+                        lambda *args: built.append(args) or lattice(*args))
+    counts = []
+    for window in ((-6, 6), (-60, 60)):
+        ring = laurent_ring("Z", "beta")
+        built.clear()
+        _, exact = check_exact(ModulePresentation.free(ring),
+                               fgl_multiplicative(ring), (2, 3, 5), 3, window)
+        assert exact
+        counts.append(len(built))
+    assert counts[0] == counts[1]
