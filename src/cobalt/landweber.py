@@ -195,12 +195,17 @@ class _Analyzer:
 
     def check_truncation(self, degree, stage):
         """Raise as `echelon(degree, stage)` would on a truncated block,
-        from the enumeration flags alone: no block is built, and each
-        block's flag is read once."""
+        from the enumeration flags alone: no block is built.  Each flag
+        is read once; the carrier's with the relation block."""
         for k in range(self._checked.get(degree, -1), stage):
-            if lattice_truncated(self.ring, degree, self.module.generators,
-                                 self.elements(None if k < 0 else k),
-                                 self.bound):
+            if k < 0:
+                flagged = lattice_truncated(
+                    self.ring, degree, self.module.generators,
+                    self.elements(None), self.bound)
+            else:
+                flagged = lattice_truncated(self.ring, degree, None,
+                                            self.elements(k), self.bound)
+            if flagged:
                 raise _Truncated()
             self._checked[degree] = k + 1
 

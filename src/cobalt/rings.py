@@ -162,7 +162,6 @@ class Ring:
         # (degree, bound) -> [monomials, packing, keys in it], read by
         # degree_lattice only
         self._enumerations = {}
-        self._flags = {}        # (degree, bound) -> _beyond_bound
         # per field g and sign s of its exponent, read by _beyond_bound:
         # s*|g| and the sorted nonzero steps of a cofactor of g^s
         options = [[s * self.gens[i].adams_degree
@@ -362,11 +361,8 @@ class Ring:
         value above `bound`: g^(s*(bound+1)) times a cofactor whose steps
         are the generator degrees, an invertible one with both signs,
         but g's own step with the sign s alone."""
-        key = (degree, bound)
-        if key not in self._flags:
-            self._flags[key] = any(_reachable(degree - (bound + 1) * a, steps)
-                                   for a, steps in self._past_bound)
-        return self._flags[key]
+        return any(_reachable(degree - (bound + 1) * a, steps)
+                   for a, steps in self._past_bound)
 
     def _monomial_str(self, exps):
         parts = []
