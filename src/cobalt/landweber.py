@@ -134,10 +134,10 @@ class _Truncated(Exception):
 
 
 def unit_period(ring):
-    """The gcd of the Adams degrees of the ring's invertible generators,
-    0 when it has none.  Some unit u has this degree, and multiplying by
-    u maps each degree of every quotient Q_n isomorphically onto the
-    degree |u| higher, commuting with every v_n."""
+    """The gcd g of the Adams degrees of the ring's invertible
+    generators, 0 when it has none.  Some unit u has degree g, and
+    multiplying by u maps degree d of every quotient Q_n isomorphically
+    onto degree d + g, commuting with every v_n."""
     return gcd(*(g.adams_degree for g in ring.gens if g.invertible))
 
 
@@ -198,14 +198,10 @@ class _Analyzer:
         from the enumeration flags alone: no block is built.  Each flag
         is read once; the carrier's with the relation block."""
         for k in range(self._checked.get(degree, -1), stage):
-            if k < 0:
-                flagged = lattice_truncated(
-                    self.ring, degree, self.module.generators,
-                    self.elements(None), self.bound)
-            else:
-                flagged = lattice_truncated(self.ring, degree, None,
-                                            self.elements(k), self.bound)
-            if flagged:
+            generators = self.module.generators if k < 0 else None
+            if lattice_truncated(self.ring, degree, generators,
+                                 self.elements(None if k < 0 else k),
+                                 self.bound):
                 raise _Truncated()
             self._checked[degree] = k + 1
 

@@ -431,10 +431,14 @@ def test_block_lattices_match_one_call(case):
 # -- one answer per class of degrees mod the unit period ----------------------
 
 
+def _unit_power(ring, k):
+    return ring.gen("u") ** k if k >= 0 else ring.gen("u_inv") ** -k
+
+
 def _laurent_module(data):
     """A drawn module over Z, Z_(p) or Q with a unit u, |u| in +-1..3, and
-    maybe a free generator t.  Each relation has a term c*u^k e_i, k up
-    to 8, so its multipliers can reach past the exponent bound in some
+    maybe a free generator t.  Each relation has a term c*u^k e_i, |k| up
+    to 16, so its multipliers can reach past the exponent bound in some
     window degrees and not in others."""
     base, local = data.draw(st.sampled_from(
         [("Z", None), ("Z", 2), ("Z", 3), ("Q", None)]))
@@ -452,8 +456,8 @@ def _laurent_module(data):
         k = data.draw(st.integers(-16, 16))
         rel = {other: _homogeneous(data, ring, d + k * unit - e)
                for other, e in generators}
-        power = ring.gen("u") ** k if k >= 0 else ring.gen("u_inv") ** -k
-        rel[name] = rel[name] + data.draw(st.integers(-3, 3)) * power
+        rel[name] = rel[name] + data.draw(st.integers(-3, 3)) * \
+            _unit_power(ring, k)
         relations.append(rel)
     return ModulePresentation(ring, generators, relations)
 
@@ -464,8 +468,7 @@ def _sequence_element(data, ring):
     if kind == "constant":
         return ring.const(data.draw(st.sampled_from([0, 1, -1, 2, 3, 6])))
     if kind == "unit":
-        k = data.draw(st.integers(-2, 2))
-        return ring.gen("u") ** k if k >= 0 else ring.gen("u_inv") ** -k
+        return _unit_power(ring, data.draw(st.integers(-2, 2)))
     return _homogeneous(data, ring, data.draw(st.integers(-3, 3)))
 
 
