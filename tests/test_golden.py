@@ -208,6 +208,10 @@ COMMANDS = _fgl_commands() + [
     ["fgl", "--law", "universal-q", "--N", "12", "--check",
      "--p-series", "2", "--landweber", "2", "3"],
     ["hopf", "--N", "9"],
+    # larger Hopf checks, whose ring maps group many terms per factor
+    ["hopf", "--N", "10"],
+    ["hopf", "--N", "11"],
+    ["hopf", "--N", "12"],
     ["verify-all", "--seed", "0"],
     ["landweber", "--module", "{torsion}", "--law", "additive",
      "--primes", "2,3,5", "--height", "2", "--window", "-2:6"],
