@@ -13,12 +13,15 @@ g * g_inv cancels in the addition.  Exponent tuples, indexed by
 generator position and in normal form, appear only at the boundary: the
 constructor, `exponent_terms`, printing, monomial enumeration and the
 carriers `degree_lattice` hands out.  `Ring.dot` is the one
-multiplication kernel, and no other module names a key.  Only `map_to`
-sums products outside it, so as not to hold them all, and starts again
-when a power widened the target.  The README's design note covers
-widths, widening and the signed fields.  Everything is immutable in
-spirit: operations build new values, and a ring is frozen once its
-relations are imposed.
+multiplication kernel, and no other module names a key.  `map_to` adds
+its products in that kernel's loop too: it shifts the keys of terms by
+the images that are one term, groups the other factors Horner-fashion
+so that the terms ending in the same factor share one product by its
+image power, and hands `dot` one group at a time (`hopf --N 18` peaks
+at 33.5 MB so, against 33.0 MB when each term was multiplied out).
+The README's design note covers widths, widening, the signed fields
+and the key codec.  Everything is immutable in spirit: operations
+build new values, and a ring is frozen once its relations are imposed.
 
 Coefficients have one canonical form over either base: an `int` when
 the value is integral and a `Fraction` only when it is not, so integral
@@ -48,8 +51,10 @@ a monomial, and when it is off the invariants are exact.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, compress
 from math import gcd
-from operator import or_
+from operator import mul, or_
+import struct
 from typing import get_args, get_origin
 
 from .errors import (
@@ -80,10 +85,22 @@ class _Packing:
     k down by 2^(w-2), and a key is stored exactly when the result has
     no bit of `guard` set: the top two bits of a plain field, the top
     bit of a signed one (a signed field below range borrows and sets
-    its top bit)."""
+    its top bit).
+
+    At w = 16, 32 and 64, `codec` reads every field of a key at once:
+    the key XOR `offset` flips the top bit of each signed field, which
+    turns e + 2^(w-1) into e in two's complement, and its big-endian
+    bytes unpack to an unsigned int per plain field and a signed one per
+    signed field.  A key of a ring without inverses unpacks to its
+    exponent tuple as it is.
+    Wider packings, the only ones that hold exponents of 2^62 and more,
+    read the fields one shift at a time, and so does the normal form of
+    a ring with inverses, which must move each negative exponent to the
+    inverse (at one to three fields, the usual Laurent rings, the shifts
+    are the faster read)."""
 
     __slots__ = ("width", "mask", "layout", "offset", "less_quarter",
-                 "guard", "ngens", "gen_keys")
+                 "guard", "ngens", "gen_keys", "codec", "degrees")
 
     def __init__(self, ring, width):
         self.width, self.ngens = width, len(ring.gens)
@@ -97,6 +114,10 @@ class _Packing:
         self.less_quarter = (-(self.offset >> 1)).__add__
         self.guard = sum((3 if j is None else 2) << (shift + width - 2)
                          for _, j, shift, _, _ in self.layout)
+        code = {16: "H", 32: "I", 64: "Q"}.get(width)
+        self.codec = code and struct.Struct(">" + "".join(
+            code if j is None else code.lower() for _, j in ring.fields))
+        self.degrees = [d for *_, d in self.layout]
         self.gen_keys = [self.key([int(g == i) for g in range(self.ngens)])
                          for i in range(self.ngens)]
 
@@ -108,6 +129,9 @@ class _Packing:
 
     def exponents(self, key):
         """The normal-form exponent tuple of a key."""
+        codec = self.codec
+        if codec and not self.offset:     # a ring without inverses
+            return codec.unpack(key.to_bytes(codec.size, "big"))
         exps = [0] * self.ngens
         for i, j, shift, bias, _ in self.layout:
             e = (key >> shift & self.mask) - bias
@@ -118,8 +142,14 @@ class _Packing:
         return tuple(exps)
 
     def degree(self, key):
-        return sum(((key >> shift & self.mask) - bias) * d
-                   for _, _, shift, bias, d in self.layout)
+        codec = self.codec
+        if codec:
+            fields = codec.unpack((key ^ self.offset).to_bytes(codec.size,
+                                                               "big"))
+        else:
+            fields = [(key >> shift & self.mask) - bias
+                      for _, _, shift, bias, _ in self.layout]
+        return sum(map(mul, fields, self.degrees))
 
 
 class Ring:
@@ -156,6 +186,7 @@ class Ring:
             self.fields.append((i, j))
         self.gens.extend(expanded)
         self.index = {g.name: i for i, g in enumerate(self.gens)}
+        self.degrees = [g.adams_degree for g in self.gens]
         self.relations = []
         self.relation_degrees = []          # parallel; None for a zero one
         self.pack = _Packing(self, 16)      # widened as exponents grow
@@ -253,16 +284,17 @@ class Ring:
     # -- monomials ----------------------------------------------------------
 
     def monomial_degree(self, exps):
-        return sum(e * g.adams_degree for e, g in zip(exps, self.gens))
+        return sum(map(mul, exps, self.degrees))
 
     def dot(self, pairs):
-        """The sum of a*b over `pairs`, a list of Polynomial pairs.
+        """The sum of a*b over `pairs`, an iterable of Polynomial pairs.
 
         The one multiplication kernel: operands on an older packing are
         repacked, and a product key is ka + kb minus the key of 1.  A
         result past the stored bound (it can reach twice it) doubles the
-        ring's width and moves to the new packing, so callers build the
-        whole list before the call.
+        ring's width and moves to the new packing.  `pairs` may be made
+        while the sum runs: when making a pair widened the ring, the
+        partial sum is repacked before the pair is added.
 
         >>> ring = polynomial_ring("Z", [("x", 1), ("y", 1)])
         >>> x, y = ring.gen("x"), ring.gen("y")
@@ -275,6 +307,11 @@ class Ring:
         get = out.get
         for a, b in pairs:
             if a.pack is not pack or b.pack is not pack:
+                if self.pack is not pack:
+                    out = {self.pack.key(pack.exponents(k)): c
+                           for k, c in out.items()}
+                    get, pack = out.get, self.pack
+                    offset = pack.offset
                 self.align(a, b)
             for ka, ca in a.terms.items():
                 ka -= offset
@@ -531,42 +568,71 @@ class Polynomial:
         generator with a nonzero exponent somewhere in this polynomial
         must be covered.  Coefficients move along Z -> Z, Z -> Q, Q -> Q,
         or Q -> Z when no denominators are present.
+
+        Each term is decoded once into its nonzero (generator, exponent)
+        factors, and dropped when one of them has image 0.  An image of
+        one term only scales the term and shifts its key.  When a shift
+        would leave the stored range, the target is widened before any
+        product is formed and the terms are decoded again.  The images
+        of more terms are multiplied in by Horner grouping (`_horner`).
         """
-        pack = target.pack
+        gens = self.ring.gens
+        indices = range(len(gens))
+        # read on both passes as they are now: a pass may repack this
+        # polynomial when it is an image of one term
+        terms, exponents = self.terms, self.pack.exponents
+        seen = {}       # generator index -> its image
+        while True:
+            pack = target.pack
+            shifts = {}     # generator index -> `_key_shift` of its image
+            leaves, top = [], 0     # (key, coefficient, other factors)
+            for key, c in terms.items():
+                c = target.coerce(c)
+                exps = exponents(key)
+                k, rest, t = pack.offset, [], 0
+                for i in compress(indices, exps):
+                    e = exps[i]
+                    shift = shifts.get(i)
+                    if shift is None:
+                        image = seen.get(i)
+                        if image is None:
+                            name = gens[i].name
+                            if name not in images:
+                                raise InputError(
+                                    f"no image given for generator {name!r}")
+                            image = seen[i] = images[name]
+                            if image.ring is not target:
+                                raise InputError("mixed-ring arithmetic")
+                        if len(image.terms) != 1:
+                            if image.terms:
+                                rest.append((i, e))
+                            else:   # the term maps to 0; its other
+                                c = 0   # factors are still checked
+                            continue
+                        shift = shifts[i] = _key_shift(target, image)
+                    k += e * shift[0]
+                    c *= shift[1] ** e
+                    t += e * shift[2]
+                if c:
+                    leaves.append((k, c, rest))
+                    top = max(top, t)
+            if not top >> (pack.width - 2):
+                break
+            while top >> (target.pack.width - 2):
+                target.widen(2 * target.pack.width)
         powers = {}     # (generator index, exponent) -> image power
-        out = {}
-        for exps, c in self.exponent_terms().items():
-            c = target.coerce(c)
-            term = None
-            for i, e in enumerate(exps):
-                if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        name = self.ring.gens[i].name
-                        if name not in images:
-                            raise InputError(
-                                f"no image given for generator {name!r}")
-                        power = powers[i, e] = images[name] ** e
-                        if power.ring is not target:
-                            raise InputError("mixed-ring arithmetic")
-                    term = power if term is None else term * power
-            if term is None:
-                out[pack.offset] = out.get(pack.offset, 0) + c
-                continue
-            target.align(term)
-            for m, v in term.terms.items():
-                out[m] = out.get(m, 0) + c * v
-        if target.pack is not pack:
-            # a power widened the target: the keys summed so far are stale
-            return self.map_to(target, images)
-        return Polynomial._raw(target, out, pack)
+        for _, _, rest in leaves:
+            for i, e in rest:
+                if (i, e) not in powers:
+                    powers[i, e] = seen[i] ** e
+        return _horner(target, pack, leaves, powers)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (degree, then exponents)."""
-        return sorted(
-            self.exponent_terms().items(),
-            key=lambda item: (self.ring.monomial_degree(item[0]), item[0]),
-            reverse=True)
+        degree = self.ring.monomial_degree
+        return sorted(self.exponent_terms().items(),
+                      key=lambda item: (degree(item[0]), item[0]),
+                      reverse=True)
 
     def __str__(self):
         if not self.terms:
@@ -591,6 +657,62 @@ class Polynomial:
         return " ".join(chunks)
 
     __repr__ = __str__
+
+
+def _key_shift(target, image):
+    """(key shift, coefficient, largest exponent) of a one-term image in
+    the target's packing: its key less the key of 1, so that adding the
+    shift multiplies a key by the image's monomial."""
+    target.align(image)
+    (key, c), = image.terms.items()
+    return key - target.pack.offset, c, max(target.pack.exponents(key),
+                                            default=0)
+
+
+def _horner(target, pack, leaves, powers):
+    """The sum over `leaves`, (key, c, factors) triples keyed in `pack`,
+    of c*x^key times the image power of each factor.
+
+    The leaves without factors are summed into one dict.  The others are
+    grouped by their last factor, and each group is multiplied by that
+    factor's power once (`_horner_group`).  The products are added in
+    `Ring.dot`'s own loop, one group at a time, so only one group's sum
+    is held at a time.
+    """
+    out, groups = {}, {}
+    for k, c, factors in leaves:
+        if factors:
+            groups.setdefault(factors[-1], []).append((k, c, factors[:-1]))
+        else:
+            out[k] = out.get(k, 0) + c
+    if not groups:
+        return Polynomial._raw(target, out, pack)
+    if not out and len(groups) == 1:    # one product, added to nothing
+        (last, group), = groups.items()
+        a, b = _horner_group(target, pack, None, last, group, powers)
+        if a is None:   # an image power: hand out a copy
+            return Polynomial._raw(target, b.terms, b.pack)
+        return a * b
+    one = target.one()
+    pairs = (_horner_group(target, pack, one, last, group, powers)
+             for last, group in groups.items())
+    if out:
+        pairs = chain([(Polynomial._raw(target, out, pack), one)], pairs)
+    return target.dot(pairs)
+
+
+def _horner_group(target, pack, one, last, group, powers):
+    """A pair (a, b) whose product is the sum of `group`, the leaves whose
+    last factor is `last`: b is that factor's power.  For a larger group
+    a is `_horner`'s sum; a group of one leaf is multiplied out, its leaf
+    left out when it is 1, and a is `one` when nothing else is left."""
+    if len(group) > 1:
+        return _horner(target, pack, group, powers), powers[last]
+    (k, c, factors), = group
+    polys = [powers[factor] for factor in factors]
+    if (k, c) != (pack.offset, 1):
+        polys.insert(0, Polynomial._raw(target, {k: c}, pack))
+    return reduce(mul, polys) if polys else one, powers[last]
 
 
 def _reachable(target, steps):

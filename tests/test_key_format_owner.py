@@ -4,8 +4,9 @@ A polynomial's terms are keyed by packed ints whose layout changes when
 the ring widens (`Ring.widen`, `Ring.align`).  Every other module works
 through `Polynomial` arithmetic, `Ring.dot` and `exponent_terms`, so a
 change of the key format touches one module.  This test reads the
-sources and fails when another module names the packing, the raw term
-dict or the trusted constructors.
+sources and fails when another module names the packing, its key codec,
+the raw term dict, the trusted constructors, or the key shifts and the
+grouped sum of a ring map.
 """
 
 import pathlib
@@ -15,7 +16,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cobalt"
 FORMAT = re.compile(r"\.pack\b|\.align\(|\.widen\(|\.terms\b|add_product"
-                    r"|Polynomial\._raw")
+                    r"|Polynomial\._raw|\.codec\b|_key_shift|_horner")
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")

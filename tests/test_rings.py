@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cobalt.errors import (
+    CobaltError,
     ExpressionSyntaxError,
     InhomogeneousRelation,
     InputError,
@@ -34,6 +35,7 @@ from echelon_oracle import pivot_columns as oracle_pivot_columns
 from monomial_oracle import monomials_of_degree as oracle_monomials_of_degree
 from monomial_oracle import past_bound
 from mseries_oracle import _times, normal_form
+import map_oracle
 
 
 @pytest.fixture
@@ -642,6 +644,18 @@ def test_map_to_is_a_ring_map(data):
 STORED = (1 << (polynomial_ring("Z", []).pack.width - 2)) - 1
 
 
+def signed_monomial(ring, specs, signed):
+    """The normal-form exponent tuple of one signed exponent per declared
+    generator of `ring` (negative ones on the implicit inverse)."""
+    exps = [0] * len(ring.gens)
+    for spec, e in zip(specs, signed):
+        if spec.invertible and e < 0:
+            exps[ring.index[spec.name + "_inv"]] = -e
+        else:
+            exps[ring.index[spec.name]] = abs(e)
+    return tuple(exps)
+
+
 @st.composite
 def packed_rings(draw):
     """A fresh Z or Q ring on up to 6 generators, some invertible, and a
@@ -652,18 +666,9 @@ def packed_rings(draw):
              for i in range(draw(st.integers(1, 6)))]
     ring = Ring(base, specs)
     size = st.one_of(st.integers(0, 3), st.integers(STORED - 2, STORED + 2))
-
-    def monomial(values):
-        exps = [0] * len(ring.gens)
-        for spec, e in zip(specs, values):
-            if spec.invertible and e < 0:
-                exps[ring.index[spec.name + "_inv"]] = -e
-            else:
-                exps[ring.index[spec.name]] = abs(e)
-        return tuple(exps)
-
     values = st.tuples(*[st.tuples(size, st.booleans()).map(
-        lambda v: -v[0] if v[1] else v[0]) for _ in specs]).map(monomial)
+        lambda v: -v[0] if v[1] else v[0]) for _ in specs]).map(
+            lambda v: signed_monomial(ring, specs, v))
     coefficients = rationals if base == "Q" else ints
     return ring, st.dictionaries(values, coefficients, max_size=4)
 
@@ -717,7 +722,7 @@ def test_a_product_past_the_stored_limit_widens_the_ring():
     assert old * x ** full == x ** full * old
 
 
-def test_map_to_restarts_when_a_power_widens_the_target():
+def test_map_to_widens_the_target_once_up_front():
     source = polynomial_ring("Z", [("x", 1), ("y", 1)])
     target = polynomial_ring("Z", [("s", 1), ("t", 1)])
     s, t = target.gen("s"), target.gen("t")
@@ -736,10 +741,153 @@ def test_map_to_restarts_when_a_power_widens_the_target():
 
 
 def test_map_to_of_a_polynomial_that_is_its_own_image():
-    # the image of y is the polynomial itself, repacked in the loop once
-    # x^2 has widened the ring; its later keys keep their old packing
+    # x^2 maps to x^(2*STORED), so the ring widens before any product;
+    # the image of y is the polynomial itself, repacked when it is used
     ring = polynomial_ring("Z", [("x", 1), ("y", 1)])
     x, y = ring.gen("x"), ring.gen("y")
     p = x ** 2 + y + x * y
     image = p.map_to(ring, {"x": x ** STORED, "y": p})
     assert image == x ** (2 * STORED) + p + x ** STORED * p
+
+
+def test_map_to_of_its_own_image_decodes_again_after_a_widening():
+    # p, left on the first packing, is the image of x: the first pass
+    # repacks it, and y^5 -> z^(5 * 2^28) then widens the ring again
+    ring = polynomial_ring("Z", [("x", 1), ("y", 1), ("z", 1)])
+    x, y, z = (ring.gen(name) for name in "xyz")
+    p = x ** 3 * y ** 5
+    big = z ** (2 ** 28)
+    assert p.pack is not ring.pack
+    image = p.map_to(ring, {"x": p, "y": big})
+    assert image.exponent_terms() == {(9, 15, 5 * 2 ** 28): 1}
+
+
+def test_map_to_repacks_its_partial_sum_when_a_product_widens():
+    # d is added first; the product of the images of a and b then passes
+    # the stored limit and widens the target in the middle of the sum
+    source = polynomial_ring("Z", [("a", 1), ("b", 1), ("c", 1), ("d", 1)])
+    target = polynomial_ring("Z", [("s", 1), ("t", 1)])
+    s, t = target.gen("s"), target.gen("t")
+    images = {"a": t ** STORED + 1, "b": t ** STORED + s, "c": s + 1,
+              "d": s + t}
+    a, b, c, d = (source.gen(name) for name in "abcd")
+    width = target.pack.width
+    image = (d + 2 * a * b * c).map_to(target, images)
+    assert target.pack.width == 2 * width
+    assert image == map_oracle.map_to(d + 2 * a * b * c, target, images)
+    assert image.pack is target.pack
+
+
+# -- ring maps against the reference ------------------------------------------
+
+OTHER = polynomial_ring("Q", [("u", 1)])
+
+
+@st.composite
+def free_rings(draw, prefix, max_gens):
+    """A fresh Z or Q ring on 0..max_gens generators, some invertible."""
+    specs = [GenSpec(f"{prefix}{i}", draw(st.integers(-2, 3)),
+                     draw(st.booleans()))
+             for i in range(draw(st.integers(0, max_gens)))]
+    return Ring(draw(st.sampled_from("ZQ")), specs), specs
+
+
+@st.composite
+def terms_over(draw, ring, specs, size, max_terms):
+    signed = st.tuples(*[st.integers(-size, size) for _ in specs])
+    values = rationals if ring.base == "Q" else ints
+    return draw(st.dictionaries(
+        signed.map(lambda e: signed_monomial(ring, specs, e)), values,
+        max_size=max_terms))
+
+
+@st.composite
+def ring_maps(draw):
+    """A polynomial, a target ring and images for a ring map between
+    fresh rings.  An image is 0, one term (inverses included), up to
+    three terms, or a term near the stored limit whose powers widen the
+    target; now and then one is missing or lies in another ring."""
+    source, specs = draw(free_rings("g", 4))
+    target, tspecs = draw(free_rings("t", 3))
+    poly = source.poly(draw(terms_over(source, specs, 3, 6)))
+    images = {}
+    for gen in source.gens:
+        kind = draw(st.sampled_from(
+            ["zero", "monomial", "monomial", "terms", "terms", "large",
+             "large", "missing", "other"]))
+        if kind == "missing" and draw(st.booleans()):
+            continue
+        if kind == "other" and draw(st.booleans()):
+            images[gen.name] = OTHER.gen("u")
+            continue
+        if kind == "zero":
+            terms = {}
+        elif kind == "large":
+            big = signed_monomial(target, tspecs,
+                                  [STORED - 1] * len(tspecs))
+            terms = {big: 1}
+            if draw(st.booleans()):
+                terms.update(draw(terms_over(target, tspecs, 1, 2)))
+        else:
+            terms = draw(terms_over(target, tspecs, 2,
+                                    1 if kind == "monomial" else 3))
+            terms = terms or {(0,) * len(target.gens): 1}
+        images[gen.name] = target.poly(terms)
+    return poly, target, images
+
+
+def outcome(thunk):
+    """(value, None), or (None, (type, message)) of a refusal."""
+    try:
+        return thunk(), None
+    except CobaltError as err:
+        return None, (type(err), str(err))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_maps())
+@example((polynomial_ring("Q", [("m", 1)]).gen("m") * Fraction(1, 2),
+          polynomial_ring("Z", [("t", 1)]), {}))
+def test_map_to_matches_the_reference(case):
+    poly, target, images = case
+    got, raised = outcome(lambda: poly.map_to(target, images))
+    if raised is None:
+        # every key is a stored one, so a later product cannot carry
+        pack = got.pack
+        assert not any(pack.less_quarter(k) & pack.guard for k in got.terms)
+    want, refused = outcome(lambda: map_oracle.map_to(poly, target, images))
+    assert raised == refused
+    if refused is None:
+        assert got == want
+        assert got.ring is target
+        assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_keys_decode_at_every_width(data):
+    """Each packing reads a key back to its exponents and degree; at
+    w = 128, past the struct formats, exponents reach 2^62 and more."""
+    ring, specs = data.draw(free_rings("g", 5))
+    width = data.draw(st.sampled_from([16, 32, 64, 128]))
+    ring.widen(width)
+    pack = ring.pack
+    assert pack.width == width and (pack.codec is None) == (width > 64)
+    limit = (1 << (width - 2)) - 1     # the largest stored |exponent|
+    size = st.one_of(st.integers(0, 3), st.integers(limit - 3, limit))
+    signed = st.tuples(*[st.tuples(size, st.booleans()).map(
+        lambda v: -v[0] if v[1] else v[0]) if spec.invertible else size
+        for spec in specs])
+    one, other = data.draw(signed), data.draw(signed)
+    for exps in (signed_monomial(ring, specs, one),
+                 signed_monomial(ring, specs, other)):
+        key = pack.key(exps)
+        assert pack.exponents(key) == exps
+        assert type(pack.exponents(key)) is tuple
+        assert pack.degree(key) == ring.monomial_degree(exps)
+    # a product key, up to twice the stored limit, decodes as well
+    both = signed_monomial(ring, specs, [x + y for x, y in zip(one, other)])
+    key = pack.key(signed_monomial(ring, specs, one)) \
+        + pack.key(signed_monomial(ring, specs, other)) - pack.offset
+    assert pack.exponents(key) == both
+    assert pack.degree(key) == ring.monomial_degree(both)
