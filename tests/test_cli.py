@@ -244,6 +244,25 @@ def test_custom_law_must_satisfy_axioms(capsys, tmp_path):
     assert code == 2
 
 
+def test_a_commutative_law_that_is_not_associative_is_refused(capsys,
+                                                              tmp_path):
+    # x + y - 2a(x^3 y + x y^3) over Z[a], |a| = 3: the entry (3, 1) is
+    # mirrored to (1, 3), and F(F(x, y), z) has 3x^2yz but no xyz^2 term
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({
+        "ring": {"base": "Z", "generators": [{"name": "a", "adams_degree": 3}],
+                 "relations": []},
+        "order": 4,
+        "coefficients": [{"i": 3, "j": 1, "value": "-2*a"}],
+    }))
+    code = main(["landweber", "--law", str(law), "--primes", "2",
+                 "--height", "1", "--window", "0:2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "cobalt: error: custom law fails: associative\n"
+
+
 def test_oriented_report(capsys):
     code, report = run_json(capsys, "oriented", "--n", "4", "--d", "2",
                             "--thom")

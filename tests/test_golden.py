@@ -212,6 +212,13 @@ COMMANDS = _fgl_commands() + [
     ["hopf", "--N", "10"],
     ["hopf", "--N", "11"],
     ["hopf", "--N", "12"],
+    # the universal law past the benchmark sizes: reversion of the log,
+    # the associativity check and one p-series per prime
+    ["fgl", "--law", "universal-q", "--N", "13", "--check",
+     "--p-series", "2", "--landweber", "2", "3"],
+    ["fgl", "--law", "universal-q", "--N", "14", "--check",
+     "--p-series", "3", "--landweber", "3", "2"],
+    ["hopf", "--N", "13"],
     ["verify-all", "--seed", "0"],
     ["landweber", "--module", "{torsion}", "--law", "additive",
      "--primes", "2,3,5", "--height", "2", "--window", "-2:6"],
