@@ -10,13 +10,12 @@ questions beyond it.
 The grading convention puts a_ij in Adams degree i + j - 1, matching
 series variables of degree -1.
 
-Everything is series substitution: the formal sum u +_F v is
-F.subst([u, v]), associativity compares G(x, y, z) = F(F(x, y), z)
-with F(x, F(y, z)) in three variables, and a law is pushed along a
+The formal sum u +_F v is F.subst([u, v]), and a law is pushed along a
 strict coordinate change phi by composing phi and its inverse with the
-two-variable coordinates x and y.  For a commutative law
-F(x, F(y, z)) = F(F(y, z), x) = G(y, z, x), so the check substitutes
-once and compares G with its cyclic permutation of variables.
+two-variable coordinates x and y.  Associativity compares
+G(x, y, z) = F(F(x, y), z) with F(x, F(y, z)).  For a commutative law
+that is G symmetric in y and z, and the check forms only the half of G
+at x-exponent >= y-exponent; otherwise both sides are substituted.
 
 Logarithms go through the invariant differential: l'(x) is the
 reciprocal of dF/dy at (x, 0), integrated termwise, which needs a Q
@@ -30,6 +29,7 @@ from math import factorial
 from .errors import (
     InputError,
     MissingBeta,
+    NonzeroConstantInner,
     NotQAlgebra,
     TruncationTooSmall,
 )
@@ -45,6 +45,7 @@ class FormalGroupLaw:
         self.series = series.truncate(order)
         self.order = order
         self.exact = exact
+        self._p_series = {}     # p -> the longest [p](x) formed so far
 
     def coefficient(self, i, j):
         if not self.exact and i + j > self.order:
@@ -134,10 +135,10 @@ def fgl_check_axioms(f, order=None, graded=True):
 
     For exact (polynomial) laws associativity is a polynomial identity:
     F(F(x, y), z) has degree s^2 for a law of support degree s, so
-    checking at order s^2 is conclusive.  When the law is commutative,
-    F(x, F(y, z)) is G(y, z, x) for G = F(F(x, y), z), and associativity
-    is G equal to its cyclic permutation; otherwise both sides are
-    substituted.  Returns a dict of named booleans plus "ok".
+    checking at order s^2 is conclusive.  When the law is commutative
+    associativity is G = F(F(x, y), z) symmetric in y and z
+    (`_symmetric_in_y_and_z`); otherwise both sides are substituted.
+    Returns a dict of named booleans plus "ok".
     """
     if order is None:
         if f.exact:
@@ -159,13 +160,12 @@ def fgl_check_axioms(f, order=None, graded=True):
     commutative = all(series.coeff((j, i)) == c
                       for (i, j), c in series.coeffs.items())
 
-    x, y, z = _variables(f.ring, order, 3)
-    left = series.subst([series.subst([x, y]), z])
     if commutative:
-        associative = left.coeffs == {
-            (c, a, b): v for (a, b, c), v in left.coeffs.items()}
+        associative = _symmetric_in_y_and_z(series)
     else:
-        associative = left == series.subst([x, series.subst([y, z])])
+        x, y, z = _variables(f.ring, order, 3)
+        associative = series.subst([series.subst([x, y]), z]) \
+            == series.subst([x, series.subst([y, z])])
 
     result = {"unit": unit, "commutative": commutative,
               "associative": associative}
@@ -184,6 +184,55 @@ def fgl_check_axioms(f, order=None, graded=True):
         result["graded"] = good
     result["ok"] = all(v for k, v in result.items() if k != "ok")
     return result
+
+
+def _symmetric_in_y_and_z(series):
+    """Is G = F(F(x, y), z) symmetric in y and z, F commutative?
+
+    G is symmetric in x and y, so it is fully symmetric exactly when it
+    is symmetric in y and z too, and then F(x, F(y, z)) = G(y, z, x)
+    equals G: the law is associative.  G = sum c_ij F(x, y)^i z^j, and
+    every power of F is symmetric in x and y, so the powers and the
+    coefficients of G are formed only at x-exponent >= y-exponent, each
+    one `Ring.dot`, and the rest is read by mirroring.  A power is formed
+    only to the degree that some c_ij z^j, or the next power, reads.
+    """
+    if (0, 0) in series.coeffs:
+        raise NonzeroConstantInner("inner series has nonzero constant term")
+    ring, order, coeffs = series.ring, series.order, series.coeffs
+    dot = ring.dot
+    top = max((i for i, _ in coeffs), default=0)
+    need = [-1] * (top + 1)     # need[i]: the degree F^i is formed to
+    for i, j in coeffs:
+        need[i] = max(need[i], order - j)
+    for i in range(top - 1, -1, -1):
+        need[i] = max(need[i], need[i + 1] - 1)
+    powers = [{(0, 0): ring.one()}]     # F^i at x-exponent >= y-exponent
+    for i in range(1, top + 1):
+        mirrored = dict(powers[-1])
+        mirrored.update({(b, a): p for (a, b), p in powers[-1].items()})
+        pairs = {}
+        for (a, b), p in mirrored.items():
+            for (s, t), c in coeffs.items():
+                key = (a + s, b + t)
+                if key[0] >= key[1] and sum(key) <= need[i]:
+                    pairs.setdefault(key, []).append((p, c))
+        powers.append({k: q for k, pair in pairs.items()
+                       if not (q := dot(pair)).is_zero()})
+    pairs = {}
+    for (i, j), c in coeffs.items():
+        for (a, b), p in powers[i].items():
+            if a + b + j <= order:
+                pairs.setdefault((a, b, j), []).append((p, c))
+    triple = {k: g for k, pair in pairs.items()     # G at a >= b
+              if not (g := dot(pair)).is_zero()}
+
+    def at(a, b, c):
+        return triple.get((a, b, c) if a >= b else (b, a, c))
+
+    # each stored (a, b, c) stands for itself and (b, a, c)
+    return all(at(a, c, b) == g and at(b, c, a) == g
+               for (a, b, c), g in triple.items())
 
 
 def strict_iso_check(phi):
@@ -251,16 +300,25 @@ def fgl_log(f, order=None):
 
 
 def p_series(f, p, order):
-    """The p-fold formal sum [p](x) to the given order."""
+    """The p-fold formal sum [p](x) to the given order.
+
+    The law keeps the longest [p](x) formed for each p, and a request
+    it covers is its truncation, so `--p-series` and `--landweber` at
+    one prime form it once.
+    """
     if p < 1:
         raise InputError("p must be a positive integer")
     if not f.exact and order > f.order:
         raise TruncationTooSmall(
             f"p-series to degree {order} needs the law to degree {order}")
+    known = f._p_series.get(p)
+    if known is not None and known.order >= order:
+        return known.truncate(order)
     x = TruncSeries.variable(f.ring, order)
     result = TruncSeries(f.ring, order, {})
     for _ in range(p):
         result = f.formal_sum(result, x) if result.coeffs else x
+    f._p_series[p] = result
     return result
 
 

@@ -14,9 +14,12 @@ constant term and reversion a zero constant term plus a unit linear
 term; these, `derivative`, `integrate` and printing take one variable.
 Violations raise the dedicated errors rather than producing garbage.
 
-Products, substitution and inversion build each coefficient with one
-`Ring.dot` over a list of pairs completed first, so a product that
-widens the ring needs no restart, and no monomial key is seen here.
+Products, substitution, inversion and reversion build each coefficient
+with one `Ring.dot` over a list of pairs completed first, so a product
+that widens the ring needs no restart, and no monomial key is seen
+here.  Reversion is one pass over the degrees that keeps the
+coefficients of the powers of the inverse, not a composition per
+degree.
 
 F(x, y) = x + y - xy evaluated at x + x^2 and 2x:
 
@@ -262,7 +265,14 @@ class TruncSeries:
         return TruncSeries(self.ring, self.order, out)
 
     def revert(self):
-        """Compositional inverse g with self(g(x)) = x up to the order."""
+        """Compositional inverse g with self(g(x)) = x up to the order.
+
+        One pass over the degrees k: [x^k] g^e for 2 <= e <= k is one
+        `Ring.dot` over g_j * [x^(k-j)] g^(e-1), which needs g_j only
+        for j < k, and [x^k] self(g) = 0 then gives
+        g_k = -f_1^-1 * sum_e f_e [x^k] g^e.  Powers past the degree of
+        self are never formed.
+        """
         self._require_univariate("reversion")
         if not self.coeff(0).is_zero():
             raise BadLeadingCoefficient(
@@ -270,15 +280,27 @@ class TruncSeries:
         inv1 = self._constant_unit_inverse(
             self.coeff(1),
             BadLeadingCoefficient("linear coefficient is not a unit"))
-        order = self.order
+        scale = -inv1.constant_term()
+        dot = self.ring.dot
+        f = {k: c for (k,), c in self.coeffs.items() if k >= 2}
+        top = max(f, default=1)
         g = {1: inv1}
-        for k in range(2, order + 1):
-            partial = TruncSeries(self.ring, k, g)
-            value = self.truncate(k).compose(partial)
-            residue = value.coeff(k)
+        powers = [None, g]      # powers[e]: k -> [x^k] g^e, nonzero only
+        for k in range(2, self.order + 1):
+            low = list(g.items())
+            for e in range(2, min(k, top) + 1):
+                if e == len(powers):
+                    powers.append({})
+                below = powers[e - 1]
+                entry = dot([(c, below[k - j]) for j, c in low
+                             if k - j in below])
+                if not entry.is_zero():
+                    powers[e][k] = entry
+            residue = dot([(c, powers[e][k]) for e, c in f.items()
+                           if e <= k and k in powers[e]])
             if not residue.is_zero():
-                g[k] = -(residue * inv1)
-        return TruncSeries(self.ring, order, g)
+                g[k] = residue * scale
+        return TruncSeries(self.ring, self.order, g)
 
     def derivative(self):
         self._require_univariate("the derivative")

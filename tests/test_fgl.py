@@ -28,7 +28,7 @@ from cobalt.fgl import (
     universal_log,
     universal_log_ring,
 )
-from cobalt.rings import laurent_ring, polynomial_ring
+from cobalt.rings import Ring, laurent_ring, polynomial_ring
 from cobalt.series import TruncSeries
 
 from mseries_oracle import _MSeries
@@ -217,6 +217,26 @@ def test_truncation_guard():
         f.coefficient(4, 4)
 
 
+def test_a_law_forms_one_p_series_per_prime(monkeypatch):
+    """`--p-series 3 --landweber 3 2` at N = 10 forms [3](x) once: the
+    v_n are read off a truncation of the longer series."""
+    sums = []
+    formal_sum = FormalGroupLaw.formal_sum
+    monkeypatch.setattr(FormalGroupLaw, "formal_sum",
+                        lambda f, u, v: sums.append(u.order)
+                        or formal_sum(f, u, v))
+    f = fgl_universal_rational(10)
+    series = p_series(f, 3, 10)
+    gens = landweber_generators(f, 3, 2)
+    assert sums == [10, 10]
+    assert gens == [f.ring.const(3), series.coeff(3), series.coeff(9)]
+    assert p_series(f, 3, 9) == series.truncate(9)
+    fresh = fgl_universal_rational(10)      # a ring of its own
+    assert str(p_series(fresh, 3, 9)) == str(series.truncate(9))
+    assert str(p_series(f, 2, 4)) == str(p_series(fresh, 2, 4))
+    assert sums[2:] == [9, 9, 4, 4]
+
+
 def test_formal_sum_composition_property_seeded():
     # [a+b](x) = F([a](x), [b](x)) for the universal law
     f = fgl_universal_rational(order=6)
@@ -250,42 +270,116 @@ def _law(ring, coeffs, order, exact):
 
 
 QA = polynomial_ring("Q", [("a", 1)])
-_qa_coefficients = st.dictionaries(
-    st.integers(0, 2), st.builds(Fraction, st.integers(-3, 3),
-                                 st.integers(1, 2)),
-    max_size=2).map(lambda terms: QA.poly({(e,): c for e, c in terms.items()}))
+ZA = polynomial_ring("Z", [("a", 3)])
+# Q[a], Z[a] with |a| = 3, and Laurent rings over Z and Q
+BASES = [QA, ZA, laurent_ring("Z", "beta"), laurent_ring("Q", "beta")]
+
+
+def _coefficients(ring):
+    """Polynomials with up to two terms c * g^e in the first generator g,
+    e in -2..2 when g is invertible."""
+    g = ring.gens[0]
+    low = -2 if g.invertible else 0
+    powers = st.integers(low, 2).map(
+        lambda e: ring.gen(g.name) ** e if e >= 0
+        else ring.gen(g.name + "_inv") ** -e)
+    values = st.integers(-3, 3) if ring.base == "Z" else st.builds(
+        Fraction, st.integers(-3, 3), st.integers(1, 2))
+    return st.lists(st.tuples(powers, values), max_size=2).map(
+        lambda terms: sum((p * v for p, v in terms), ring.zero()))
+
+
+def _symmetric(draw, coeffs):
+    """`coeffs` mirrored to (j, i) in half the draws."""
+    if not draw(st.booleans()):
+        return coeffs
+    mirrored = {}
+    for (i, j), c in coeffs.items():
+        if (j, i) not in mirrored:
+            mirrored[i, j] = mirrored[j, i] = c
+    return mirrored
+
+
+def _associative_law(draw, ring, coefficient, order):
+    """exp(log x + log y) over a Q base, else x + y + c*x*y, truncated."""
+    if ring.base == "Q" and draw(st.booleans()):
+        log = {1: 1}
+        for k in range(2, order + 1):
+            log[k] = draw(coefficient)
+        return fgl_from_log(TruncSeries(ring, order, log))
+    return _law(ring, {(1, 1): draw(coefficient)}, order, exact=False)
 
 
 @st.composite
 def _bivariate_laws(draw):
-    """A truncated x + y + .. over Q[a], symmetric in half the cases.
+    """A law x + y + .. over one of BASES, of order 2 to 7 or exact.
 
-    Half of the symmetric ones are built from a logarithm, so they are
-    associative with many terms.
+    A third are built associative (from a logarithm or multiplicative),
+    a third are random tables, exact ones (support at most 3, checked on
+    the s^2 route) among them, and a third are associative laws with a
+    symmetric term added, commutative and built to fail.
     """
-    order = draw(st.integers(2, 5))
-    if draw(st.booleans()) and draw(st.booleans()):
-        log = {1: 1}
-        for k in range(2, order + 1):
-            log[k] = draw(_qa_coefficients)
-        return fgl_from_log(TruncSeries(QA, order, log))
+    ring = draw(st.sampled_from(BASES))
+    coefficient = _coefficients(ring)
+    nonzero = coefficient.filter(lambda c: not c.is_zero())
+    order = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["associative", "table", "broken"]))
+    if kind == "associative":
+        return _associative_law(draw, ring, coefficient, order)
+    exact = draw(st.booleans())
+    if exact:
+        order = draw(st.integers(2, 3))
     keys = st.tuples(st.integers(0, order), st.integers(0, order)).filter(
         lambda e: 2 <= sum(e) <= order)
-    coeffs = draw(st.dictionaries(keys, _qa_coefficients, max_size=4))
-    if draw(st.booleans()):
-        mirrored = {}
-        for (i, j), c in coeffs.items():
-            if (j, i) not in mirrored:
-                mirrored[i, j] = mirrored[j, i] = c
-        coeffs = mirrored
-    return _law(QA, coeffs, order, exact=False)
+    if kind == "table":
+        coeffs = draw(st.dictionaries(keys, nonzero, min_size=1,
+                                      max_size=4))
+        return _law(ring, _symmetric(draw, coeffs), order, exact)
+    if exact:
+        coeffs = {(1, 1): draw(coefficient)}
+    else:
+        coeffs = _associative_law(draw, ring, coefficient,
+                                  order).series.coeffs
+    i, j = draw(keys)
+    c = draw(nonzero)
+    coeffs = dict(coeffs)
+    for key in {(i, j), (j, i)}:
+        coeffs[key] = coeffs.get(key, ring.zero()) + c
+    return _law(ring, coeffs, order, exact)
 
 
-@settings(max_examples=100, deadline=None)
+def _check_order(f):
+    """The order `fgl_check_axioms` checks by default: s^2 for an exact
+    law of support degree s."""
+    if not f.exact:
+        return f.order
+    return max(i + j for i, j in f.series.coeffs) ** 2
+
+
+@settings(max_examples=150, deadline=None)
 @given(_bivariate_laws())
 def test_associativity_matches_both_substitutions(f):
     verdict = fgl_check_axioms(f, graded=False)
-    assert verdict["associative"] == _explicitly_associative(f, f.order)
+    assert verdict["associative"] == _explicitly_associative(
+        f, _check_order(f))
+
+
+def _twisted(order, exact=False):
+    """x + y - 2a(x^3 y + x y^3) over Z[a], |a| = 3: commutative, and
+    its coefficients at i >= j agree with their (y, z) swaps, but
+    F(F(x, y), z) has 3x^2yz without xyz^2 at degree 4."""
+    return _law(ZA, {(3, 1): -2 * ZA.gen("a"), (1, 3): -2 * ZA.gen("a")},
+                order, exact)
+
+
+@pytest.mark.parametrize("order, exact",
+                         [(4, False), (5, False), (6, False), (4, True)])
+def test_a_symmetric_half_does_not_make_a_law_associative(order, exact):
+    f = _twisted(order, exact)
+    verdict = fgl_check_axioms(f)
+    assert verdict["unit"] and verdict["commutative"] and verdict["graded"]
+    assert verdict["associative"] is False
+    assert not _explicitly_associative(f, _check_order(f))
 
 
 def test_commutative_but_not_associative():
@@ -304,3 +398,41 @@ def test_not_commutative_takes_both_substitutions():
     assert verdict["commutative"] is False
     assert verdict["associative"] is False
     assert not _explicitly_associative(f, 9)
+
+
+# -- Ring.dot work of the universal law ------------------------------------
+
+def _term_products(monkeypatch):
+    """The list that collects the term products of every `Ring.dot`."""
+    products = []
+    dot = Ring.dot
+
+    def counting_dot(ring, operands):
+        def each():
+            for a, b in operands:
+                products.append(len(a.terms) * len(b.terms))
+                yield a, b
+        return dot(ring, each())
+
+    monkeypatch.setattr(Ring, "dot", counting_dot)
+    return products
+
+
+def test_reversion_forms_each_power_coefficient_once(monkeypatch):
+    """Reverting the universal log at N = 12 multiplies at most 3,336
+    term pairs in one pass over the degrees; composing the whole series
+    once per degree took 8,444."""
+    log = universal_log(universal_log_ring(12), 12)
+    products = _term_products(monkeypatch)
+    log.revert()
+    assert sum(products) <= 3_336
+
+
+def test_associativity_forms_half_of_the_triple_law(monkeypatch):
+    """The axiom check of the universal law at N = 12 multiplies at most
+    46,697 term pairs: it forms F(F(x, y), z) only at x-exponent >=
+    y-exponent.  Substituting the whole trivariate series took 112,250."""
+    f = fgl_universal_rational(12)
+    products = _term_products(monkeypatch)
+    assert fgl_check_axioms(f)["ok"]
+    assert sum(products) <= 46_697

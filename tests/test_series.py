@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from cobalt.errors import (
     BadLeadingCoefficient,
+    CobaltError,
     InputError,
     NonUnitConstantTerm,
     NonzeroConstantInner,
     NotQAlgebra,
 )
+from cobalt.hopf import _copies
 from cobalt.rings import laurent_ring, polynomial_ring
 from cobalt.series import TruncSeries
 
@@ -25,6 +27,7 @@ from mseries_oracle import (
     inverse_pairs,
     normal_form,
 )
+from revert_oracle import revert_by_composition
 
 
 @pytest.fixture
@@ -329,3 +332,68 @@ def test_subst_restarts_when_a_product_widens_the_ring():
     assert ring.pack.width == 2 * width
     assert h.coeffs == {(1,): c ** 2, (2,): c + c ** 3,
                         (3,): 2 * c ** 2 + c ** 3}
+
+
+# -- reversion in one pass against composition per degree -----------------
+
+# Z and Q with one generator, a Laurent ring, and the Gamma ring of
+# `hopf --N 4`, Q[m1..m3, b1..b3]
+REVERT_RINGS = [polynomial_ring("Z", [("t", 1)]),
+                polynomial_ring("Q", [("t", 1)]), laurent_ring("Q", "b"),
+                _copies(4, "b")]
+_FAULTS = ["constant", "zero linear", "non-unit linear"]
+
+
+def _revert_coefficients(ring):
+    """Polynomials over `ring` with one or two terms."""
+    if inverse_pairs(ring):
+        monomials = st.integers(-2, 2).map(
+            lambda e: (e, 0) if e >= 0 else (0, -e))
+    else:
+        monomials = st.tuples(*[st.integers(0, 1)] * len(ring.gens))
+    values = st.integers(-3, 3) if ring.base == "Z" else _fractions
+    return st.dictionaries(monomials, values, min_size=1,
+                           max_size=2).map(ring.poly)
+
+
+@st.composite
+def _reversion_inputs(draw):
+    """A one-variable series over a drawn ring, of order 1 to 9, with
+    every or a few higher coefficients, and in a quarter of the draws
+    one fault that reversion must refuse."""
+    ring = draw(st.sampled_from(REVERT_RINGS))
+    order = draw(st.integers(1, 9))
+    coefficient = _revert_coefficients(ring)
+    degrees = list(range(2, order + 1))
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.sampled_from(degrees), max_size=3,
+                                unique=True)) if degrees else []
+    coeffs = {k: draw(coefficient) for k in degrees}
+    coeffs[1] = draw(st.sampled_from([1, -1]) if ring.base == "Z" else
+                     _fractions.filter(bool))
+    fault = draw(st.sampled_from([None] * 9 + _FAULTS))
+    if fault == "constant":
+        coeffs[0] = draw(coefficient.filter(lambda c: not c.is_zero()))
+    elif fault == "zero linear":
+        del coeffs[1]
+    elif fault == "non-unit linear":
+        coeffs[1] = ring.gen(ring.gens[0].name) * coeffs[1] \
+            if ring.base == "Q" else 2 * coeffs[1]
+    return TruncSeries(ring, order, coeffs)
+
+
+def _outcome(revert, f):
+    """The reversion of f, or the type and message of its refusal."""
+    try:
+        return revert(f)
+    except CobaltError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reversion_inputs())
+def test_reversion_matches_composition_per_degree(f):
+    got = _outcome(TruncSeries.revert, f)
+    assert got == _outcome(revert_by_composition, f)
+    if isinstance(got, TruncSeries):
+        assert _canonical(got)
