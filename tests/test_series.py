@@ -222,7 +222,7 @@ def _polynomials(ring):
         values = st.integers(-3, 3)
     else:
         monomials = st.tuples(*[st.integers(0, 2)] * len(ring.gens))
-        values = _fractions
+        values = st.integers(-3, 3) if ring.base == "Z" else _fractions
     return st.dictionaries(monomials, values, min_size=1,
                            max_size=3).map(ring.poly)
 
@@ -344,18 +344,6 @@ REVERT_RINGS = [polynomial_ring("Z", [("t", 1)]),
 _FAULTS = ["constant", "zero linear", "non-unit linear"]
 
 
-def _revert_coefficients(ring):
-    """Polynomials over `ring` with one or two terms."""
-    if inverse_pairs(ring):
-        monomials = st.integers(-2, 2).map(
-            lambda e: (e, 0) if e >= 0 else (0, -e))
-    else:
-        monomials = st.tuples(*[st.integers(0, 1)] * len(ring.gens))
-    values = st.integers(-3, 3) if ring.base == "Z" else _fractions
-    return st.dictionaries(monomials, values, min_size=1,
-                           max_size=2).map(ring.poly)
-
-
 @st.composite
 def _reversion_inputs(draw):
     """A one-variable series over a drawn ring, of order 1 to 9, with
@@ -363,7 +351,7 @@ def _reversion_inputs(draw):
     one fault that reversion must refuse."""
     ring = draw(st.sampled_from(REVERT_RINGS))
     order = draw(st.integers(1, 9))
-    coefficient = _revert_coefficients(ring)
+    coefficient = _polynomials(ring)
     degrees = list(range(2, order + 1))
     if draw(st.booleans()):
         degrees = draw(st.lists(st.sampled_from(degrees), max_size=3,
