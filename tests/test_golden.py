@@ -195,6 +195,9 @@ COMMANDS = _fgl_commands() + [
     ["cobordism", "--field", "Q", "--window", "-400:400,-200:200"],
     ["cobordism", "--field", "number:2,1", "--verify"],
     ["cobordism", "--field", "F9", "--verify", "--format", "csv"],
+    # an imaginary quadratic field, signature (r1, r2) = (0, 1)
+    ["cobordism", "--field", "number:0,1", "--window", "-6:6,-3:3",
+     "--verify"],
     # the universal-law and hopf sizes of the `formal` benchmark workload
     ["fgl", "--law", "universal-q", "--N", "9", "--check",
      "--p-series", "2", "--landweber", "2", "3"],
