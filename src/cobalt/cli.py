@@ -48,12 +48,7 @@ from .rings import (
     polynomial_ring,
 )
 from .series import TruncSeries
-from .tables import (
-    FieldDescriptor,
-    mgl_rational_table,
-    verify_finite_field_table,
-    verify_number_field_corollary,
-)
+from .tables import FieldDescriptor, mgl_rational_table
 
 
 # -- small parsers ----------------------------------------------------------
@@ -132,8 +127,13 @@ def _parse_field(text):
         except ValueError:
             raise InputError("number field signature must be two integers")
         return FieldDescriptor.number_field(r1, r2)
-    if text[:1] == "F" and text[1:].isdigit():
-        q = int(text[1:])
+    digits = text[1:]
+    if text[:1] == "F" and digits.isascii() and digits.isdigit():
+        try:
+            q = int(digits)
+        except ValueError:     # past int()'s digit limit, so past 10^12
+            raise InputError("finite field size is above 10^12, too large "
+                             "to factor") from None
         if _prime_power_base(q) is None:
             raise InputError(f"F{q}: a finite field has prime-power size")
         return FieldDescriptor.finite(q)
@@ -397,20 +397,15 @@ def _cmd_cobordism(args):
     table = mgl_rational_table(field, p_span, q_span)
     p_values = list(range(p_span[0], p_span[1] + 1))
     q_values = list(range(q_span[0], q_span[1] + 1))
-    cells = [[table[(p, q)].effective(field).render() for q in q_values]
-             for p in p_values]
+    cells = [[table[(p, q)].render() for q in q_values] for p in p_values]
     report = _report("cobordism", field=field.label,
                      window={"p": list(p_span), "q": list(q_span)},
                      p_values=p_values, q_values=q_values, cells=cells)
     ok = True
     if args.verify:
-        if field.kind == "finite":
-            outcome = verify_finite_field_table(field.q, p_span, q_span)
-        else:
-            outcome = verify_number_field_corollary(field.r1, field.r2,
-                                                    p_span, q_span)
-        report["verification"] = outcome
-        ok = outcome["pass"]
+        report["verification"] = verify_mod.cobordism_report(
+            field, p_span, q_span)
+        ok = report["verification"]["pass"]
     return report, ok
 
 

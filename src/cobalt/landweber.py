@@ -317,7 +317,8 @@ def default_exponent_bound(module, sequence, window):
     rdeg = max((abs(d or 0) for d in module.ring.relation_degrees),
                default=0)
     gdeg = max((abs(d) for _, d in module.generators), default=0)
-    return span + vdeg + rdeg + gdeg + 2
+    mdeg = max((abs(d) for d, _ in module.relations), default=0)
+    return span + vdeg + rdeg + gdeg + mdeg + 2
 
 
 def check_regular(module, sequence, prime, window):

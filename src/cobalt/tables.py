@@ -1,12 +1,13 @@
 """Rational dimension tables for algebraic cobordism over fields.
 
-The graded pieces of the Lazard ring have partition-count ranks, with
-cohomological bidegree (-2i, -i) for a weight-i generator.  Tensoring
-those ranks against the (hardcoded, standard) rational motivic
-cohomology of a field gives the cobordism table by convolution; a
-separate closed-form case table for number fields cross-checks every
-window entry.  All bookkeeping is exact; infinite-dimensional entries
-stay symbolic as multiples of the rationalized unit group.
+This module is the production route for MGL^{*,*}(F) (x) Q.  The graded
+pieces of the Lazard ring have partition-count ranks, with cohomological
+bidegree (-2i, -i) for a weight-i generator, and `motivic_ranks` is the
+one place that knows the rational motivic cohomology of a field; the
+table is their convolution.  The independent oracle, read off K-theory
+cell by cell, is `verify.cobordism_report`.  All bookkeeping is exact;
+infinite-dimensional entries stay symbolic as multiples of the
+rationalized unit group.
 """
 
 from .errors import InputError, WindowEmpty
@@ -107,12 +108,6 @@ class DimExpr:
     def scaled(self, k):
         return DimExpr(self.q_mult * k, self.units_mult * k)
 
-    def effective(self, field):
-        """Drop the units part over finite fields, where it vanishes."""
-        if field.kind == "finite":
-            return DimExpr(self.q_mult, 0)
-        return self
-
     def is_zero(self):
         return self.q_mult == 0 and self.units_mult == 0
 
@@ -121,9 +116,6 @@ class DimExpr:
             return NotImplemented
         return self.q_mult == other.q_mult \
             and self.units_mult == other.units_mult
-
-    def __hash__(self):
-        return hash((self.q_mult, self.units_mult))
 
     def render(self):
         parts = []
@@ -141,35 +133,36 @@ class DimExpr:
 
 
 def motivic_ranks(field, bidegree):
-    """Rational motivic cohomology of the field at one bidegree.
+    """Rational motivic cohomology H^{p,q}(F; Q) of the field.
 
-    Standard input data: (0,0) gives Q; (1,1) gives the rationalized
-    units; (1,b) for odd b > 1 over a number field gives Q^{r2} when
-    b = 3 mod 4 and Q^{r1+r2} when b = 1 mod 4; everything else is 0.
+    (0, 0) gives Q.  (1, 1) gives k* (x) Q, which is 0 over a finite
+    field, since k* is finite.  For q >= 2, H^{1,q}(F; Q) is
+    K_{2q-1}(F) (x) Q: over a number field its rank is Borel's, r1 + r2
+    when 2q - 1 = 1 mod 4 (q odd) and r2 when 2q - 1 = 3 mod 4 (q even),
+    and over a finite field it is 0.  Everything else is 0.
+
+    >>> rationals = FieldDescriptor.rationals()
+    >>> [motivic_ranks(rationals, (1, q)) for q in (2, 3)]
+    [0, Q]
+    >>> imaginary = FieldDescriptor.number_field(0, 1)
+    >>> [motivic_ranks(imaginary, (1, q)) for q in (2, 3)]
+    [Q, Q]
     """
     p, q = bidegree
     if (p, q) == (0, 0):
         return DimExpr(q_mult=1)
-    if (p, q) == (1, 1):
+    if p != 1 or q < 1 or field.kind == "finite":
+        return DimExpr()
+    if q == 1:
         return DimExpr(units_mult=1)
-    if field.kind == "number" and p == 1 and q > 1 and q % 2 == 1:
-        if q % 4 == 3:
-            return DimExpr(q_mult=field.r2)
-        return DimExpr(q_mult=field.r1 + field.r2)
-    return DimExpr()
-
-
-def _validate_window(p_range, q_range):
-    p_lo, p_hi = p_range
-    q_lo, q_hi = q_range
-    if p_lo > p_hi or q_lo > q_hi:
-        raise WindowEmpty(f"empty window p in {p_range}, q in {q_range}")
-    return p_lo, p_hi, q_lo, q_hi
+    return DimExpr(q_mult=field.r1 + field.r2 if q % 2 else field.r2)
 
 
 def mgl_rational_table(field, p_range, q_range):
     """Convolution table entry(p, q) = sum_m P(m) * ranks(p+2m, q+m)."""
-    p_lo, p_hi, q_lo, q_hi = _validate_window(p_range, q_range)
+    (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
+    if p_lo > p_hi or q_lo > q_hi:
+        raise WindowEmpty(f"empty window p in {p_range}, q in {q_range}")
     table = {}
     for p in range(p_lo, p_hi + 1):
         for q in range(q_lo, q_hi + 1):
@@ -182,68 +175,3 @@ def mgl_rational_table(field, p_range, q_range):
                     partition_count(m))
             table[(p, q)] = entry
     return table
-
-
-def _closed_form_number_field(r1, r2, p, q):
-    """The case table for number fields, written out independently."""
-    if p % 2 == 0:
-        i = p // 2
-        if q == i:
-            return DimExpr(q_mult=partition_count(-i))
-        return DimExpr()
-    i = (p - 1) // 2
-    b = q - i
-    if b == 1:
-        return DimExpr(units_mult=partition_count(-i))
-    if b > 1 and b % 4 == 3:
-        return DimExpr(q_mult=r2 * partition_count(-i))
-    if b > 1 and b % 4 == 1:
-        return DimExpr(q_mult=(r1 + r2) * partition_count(-i))
-    return DimExpr()
-
-
-def verify_finite_field_table(q, p_range, q_range):
-    """Effective finite-field table: Q^{P(-i)} at (2i, i), else 0."""
-    field = FieldDescriptor.finite(q)
-    table = mgl_rational_table(field, p_range, q_range)
-    mismatches = []
-    for (p, w), entry in sorted(table.items()):
-        eff = entry.effective(field)
-        want = DimExpr(q_mult=lazard_rank(p, w))
-        if eff != want:
-            mismatches.append({
-                "p": p, "q": w,
-                "effective": eff.render(), "expected": want.render()})
-    return {
-        "field": field.label,
-        "window": {"p": list(p_range), "q": list(q_range)},
-        "entries_checked": len(table),
-        "mismatches": mismatches,
-        "pass": not mismatches,
-    }
-
-
-def verify_number_field_corollary(r1, r2, p_range, q_range):
-    """Compare the convolution table against the closed case table."""
-    field = FieldDescriptor.number_field(r1, r2)
-    table = mgl_rational_table(field, p_range, q_range)
-    mismatches = []
-    flagged = []
-    for (p, q), entry in sorted(table.items()):
-        want = _closed_form_number_field(r1, r2, p, q)
-        if entry != want:
-            mismatches.append({
-                "p": p, "q": q,
-                "convolution": entry.render(),
-                "closed_form": want.render()})
-        if p % 2 == 1 and q == (p - 1) // 2 + 1 and (p - 1) // 2 > 0:
-            # units row with positive weight: both sides vanish, noted
-            flagged.append({"p": p, "q": q})
-    return {
-        "field": field.label,
-        "window": {"p": list(p_range), "q": list(q_range)},
-        "entries_checked": len(table),
-        "mismatches": mismatches,
-        "vanishing_units_rows": flagged,
-        "pass": not mismatches,
-    }

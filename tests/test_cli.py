@@ -478,7 +478,9 @@ def test_landweber_refuses_primes_too_large_to_check(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field", ["F6", "F1", "F0", "F12"])
+@pytest.mark.parametrize("field", [
+    "F6", "F1", "F0", "F12", "F\u00b2",
+    pytest.param("F" + "7" * 5000, id="F-5000-digits")])
 def test_cobordism_rejects_non_prime_power_fields(capsys, field):
     code, out = run(capsys, "cobordism", "--field", field,
                     "--window", "0:1,0:1")

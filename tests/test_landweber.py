@@ -490,19 +490,39 @@ def test_sharing_per_class_keeps_every_verdict(data):
         assert check_regular(module, sequence, 2, window).to_dict() == shared
 
 
-def test_a_shared_degree_past_the_bound_keeps_the_stage_inconclusive():
-    """Over Z[u^+-1], |u| = 1, every window degree shares the answers of
-    the first one, -4, where 2 is not injective.  But the multipliers of
-    the relation 2*u^-8*e reach past the default bound 6 from degree -1
-    on, so the stage is inconclusive, as degree by degree."""
+def _far_relation_module():
+    """Z*e/(2*u^-8*e) over Z[u^+-1], |u| = 1."""
     ring = Ring("Z", [GenSpec("u", 1, True)])
-    module = ModulePresentation(ring, [("e", 0)],
-                                [{"e": 2 * ring.gen("u_inv") ** 8}])
-    assert default_exponent_bound(module, [ring.const(2)], (-4, 2)) == 6
+    return ModulePresentation(ring, [("e", 0)],
+                              [{"e": 2 * ring.gen("u_inv") ** 8}])
+
+
+def test_a_shared_degree_past_the_bound_keeps_the_stage_inconclusive(
+        monkeypatch):
+    """Over Z[u^+-1], |u| = 1, every window degree shares the answers of
+    the first one, -4, where 2 is not injective.  But with the bound
+    fixed at 6, the multipliers of the relation 2*u^-8*e reach past it
+    from degree -1 on, so the stage is inconclusive, as degree by
+    degree."""
+    module = _far_relation_module()
+    monkeypatch.setattr(landweber, "default_exponent_bound",
+                        lambda *args: 6)
     verdict = check_regular(module, [2], 2, (-4, 2))
     assert statuses(verdict) == ["window_inconclusive"]
     assert check_regular(module, [2], 2, (-4, -2)).stages[0].witness_degree \
         == -4
+
+
+def test_the_bound_covers_the_module_relations():
+    """The default bound adds the largest |module relation degree|, 8
+    for 2*u^-8*e, so the window -4:2 decides: 2 is not injective at -4,
+    where e generates Z/2."""
+    module = _far_relation_module()
+    assert default_exponent_bound(module, [module.ring.const(2)],
+                                  (-4, 2)) == 14
+    stage = check_regular(module, [2], 2, (-4, 2)).stages[0]
+    assert (stage.status, stage.witness_degree) == ("fails", -4)
+    assert stage.detail.endswith("[1]")
 
 
 def test_kgl_echelons_do_not_grow_with_the_window(monkeypatch):

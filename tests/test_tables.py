@@ -1,9 +1,9 @@
 """Partition counts, Lazard ranks, motivic input table, and the
-cobordism convolution against its closed form."""
+cobordism convolution against its K-theory oracle in `verify`."""
 
 import pytest
 
-from cobalt import tables
+from cobalt import tables, verify
 from cobalt.errors import InputError, WindowEmpty
 from cobalt.tables import (
     DimExpr,
@@ -12,7 +12,6 @@ from cobalt.tables import (
     mgl_rational_table,
     motivic_ranks,
     partition_count,
-    verify_number_field_corollary,
 )
 
 
@@ -66,10 +65,6 @@ def test_dim_expr():
     assert DimExpr(units_mult=3).render() == "(k*(x)Q)^3"
     assert (DimExpr(1, 0) + DimExpr(0, 2)).render() == "Q + (k*(x)Q)^2"
     assert DimExpr(2, 1).scaled(3) == DimExpr(6, 3)
-    fq = FieldDescriptor.finite(5)
-    assert DimExpr(1, 4).effective(fq) == DimExpr(1, 0)
-    assert DimExpr(1, 4).effective(FieldDescriptor.rationals()) \
-        == DimExpr(1, 4)
     with pytest.raises(InputError):
         DimExpr(-1, 0)
 
@@ -78,18 +73,62 @@ def test_motivic_ranks_table():
     q_field = FieldDescriptor.rationals()
     assert motivic_ranks(q_field, (0, 0)) == DimExpr(q_mult=1)
     assert motivic_ranks(q_field, (1, 1)) == DimExpr(units_mult=1)
-    # r1 + r2 = 1, 5 = 1 mod 4
+    # K_9 (x) Q has rank r1 + r2 = 1, 9 = 1 mod 4
     assert motivic_ranks(q_field, (1, 5)) == DimExpr(q_mult=1)
-    # r2 = 0, 3 = 3 mod 4
-    assert motivic_ranks(q_field, (1, 3)) == DimExpr()
     imag = FieldDescriptor.number_field(0, 1)
     assert motivic_ranks(imag, (1, 3)) == DimExpr(q_mult=1)
     assert motivic_ranks(q_field, (2, 1)) == DimExpr()
+    # K_7 (x) Q has rank r2 = 0, 7 = 3 mod 4
     assert motivic_ranks(q_field, (1, 4)) == DimExpr()
+    assert motivic_ranks(q_field, (1, 0)) == DimExpr()
     fq = FieldDescriptor.finite(9)
     assert motivic_ranks(fq, (0, 0)) == DimExpr(q_mult=1)
-    assert motivic_ranks(fq, (1, 1)) == DimExpr(units_mult=1)
+    # F9* is finite, and so is every K_n(F9) with n >= 1
+    assert motivic_ranks(fq, (1, 1)) == DimExpr()
+    assert motivic_ranks(fq, (1, 2)) == DimExpr()
     assert motivic_ranks(fq, (1, 5)) == DimExpr()
+
+
+def test_borel_ranks_from_the_literature():
+    """H^{1,q}(F; Q) = K_{2q-1}(F) (x) Q, of rank r1 + r2 for 2q - 1 = 1
+    mod 4 and r2 for 2q - 1 = 3 mod 4 (Borel, Ann. Sci. ENS 7, 1974)."""
+    q_field = FieldDescriptor.rationals()
+    # K_3(Z) is finite (Z/48) and K_5(Z) = Z
+    assert motivic_ranks(q_field, (1, 2)).render() == "0"
+    assert motivic_ranks(q_field, (1, 3)).render() == "Q"
+    # K_3 of an imaginary quadratic field has rank r2 = 1
+    imag = FieldDescriptor.number_field(0, 1)
+    assert motivic_ranks(imag, (1, 2)).render() == "Q"
+    mixed = FieldDescriptor.number_field(2, 1)
+    assert motivic_ranks(mixed, (1, 3)) == DimExpr(q_mult=3)
+    assert motivic_ranks(mixed, (1, 2)) == DimExpr(q_mult=1)
+    # the same cells through the table: (1 - 2m, q) reads H^{1, q+m}
+    table = mgl_rational_table(q_field, (-1, 1), (1, 3))
+    assert [table[(1, q)].render() for q in (1, 2, 3)] \
+        == ["k*(x)Q", "0", "Q"]
+    assert [table[(-1, q)].render() for q in (1, 2)] == ["0", "Q"]
+
+
+def _weight_parity_rule(field, bidegree):
+    """The misreading that applied the mod-4 test to the weight q, not to
+    the K-degree 2q - 1: r2 at q = 3 mod 4, r1 + r2 at q = 1 mod 4, and 0
+    at even q."""
+    p, q = bidegree
+    if field.kind == "number" and p == 1 and q >= 2:
+        if q % 2 == 0:
+            return DimExpr()
+        return DimExpr(q_mult=field.r2 if q % 4 == 3
+                       else field.r1 + field.r2)
+    return motivic_ranks(field, bidegree)
+
+
+def test_the_oracle_rejects_the_weight_parity_rule(monkeypatch):
+    assert verify.check_cobordism_tables()["pass"]
+    monkeypatch.setattr(tables, "motivic_ranks", _weight_parity_rule)
+    result = verify.check_cobordism_tables()
+    assert not result["pass"]
+    assert not any(result["details"]["number_fields"].values())
+    assert result["details"]["finite_field"]
 
 
 def test_mgl_table_fixtures():
@@ -131,34 +170,32 @@ def test_finite_field_table_diagonal():
     fq = FieldDescriptor.finite(4)
     table = mgl_rational_table(fq, (-10, 10), (-5, 5))
     for (p, q), entry in table.items():
-        eff = entry.effective(fq)
         if p == 2 * q and p <= 0:
-            assert eff == DimExpr(q_mult=partition_count(-q))
+            assert entry == DimExpr(q_mult=partition_count(-q))
         else:
-            assert eff.q_mult == 0
+            assert entry.is_zero()
 
 
 def test_number_field_support_pattern():
     field = FieldDescriptor.number_field(2, 1)
     table = mgl_rational_table(field, (-10, 10), (-5, 5))
     for (p, q), entry in table.items():
-        if entry.is_zero():
-            continue
+        b = q - (p - 1) // 2
         if p % 2 == 0:
-            assert p == 2 * q and p <= 0
+            assert entry.is_zero() == (p != 2 * q or p > 0)
         else:
-            b = q - (p - 1) // 2
-            assert b == 1 or (b > 1 and b % 2 == 1)
+            # r2 = 1, so K_{2b-1} (x) Q is nonzero at every weight b >= 1
+            assert entry.is_zero() == (p > 1 or b < 1), (p, q)
 
 
 def test_corollary_verification():
-    for r1, r2 in ((1, 0), (0, 1), (2, 1)):
-        report = verify_number_field_corollary(
-            r1, r2, (-10, 10), (-5, 5))
+    fields = [FieldDescriptor.number_field(r1, r2)
+              for r1, r2 in ((1, 0), (0, 1), (2, 1))]
+    for field in fields + [FieldDescriptor.finite(5)]:
+        report = verify.cobordism_report(field, (-10, 10), (-5, 5))
         assert report["pass"], report["mismatches"]
         assert report["entries_checked"] == 21 * 11
-    report = verify_number_field_corollary(1, 0, (-6, 6), (-3, 3))
-    assert all(row["q"] == (row["p"] - 1) // 2 + 1
-               for row in report["vanishing_units_rows"])
-    assert {(r["p"], r["q"]) for r in report["vanishing_units_rows"]} \
-        == {(3, 2), (5, 3)}
+        assert list(report) == ["field", "window", "entries_checked",
+                                "mismatches", "pass"]
+    with pytest.raises(WindowEmpty):
+        verify.cobordism_report(fields[0], (1, 0), (0, 0))
