@@ -379,13 +379,13 @@ def _cmd_hopf(args):
     axioms = verify_hopf_axioms(H)
     return _report(
         "hopf", N=args.N,
-        algebra_generators=H.a_generators(),
-        gamma_generators=H.gamma_generators(),
+        algebra_generators=[g.name for g in H.A.gens],
+        gamma_generators=[g.name for g in H.Gamma.gens],
         right_unit={k: str(v) for k, v in sorted(H.eta_R.items())},
         counit={k: str(v) for k, v in sorted(H.counit.items())},
         comult={k: str(v) for k, v in sorted(H.comult.items())},
         conjugation={k: str(v) for k, v in sorted(H.conjugation.items())},
-        axioms=axioms.to_dict()), axioms.ok
+        axioms=axioms), axioms["pass"]
 
 
 # -- cobordism -------------------------------------------------------------------

@@ -58,6 +58,7 @@ import struct
 from typing import get_args, get_origin
 
 from .errors import (
+    BoundExceeded,
     ExpressionSyntaxError,
     InhomogeneousRelation,
     InputError,
@@ -776,6 +777,16 @@ def lattice_truncated(ring, degree, generators, elements, bound):
                + [d for d, _ in elements if d is not None])
 
 
+# degree_lattice refuses to densify more cells (rows x carrier width)
+# than this, a fixed bound and not an option: 32 MB of row slots before
+# the echelon starts.  The largest lattice of the golden commands and
+# the benchmark workloads has 126,948 cells (426 x 298, `hopf --N 2
+# --induced` over Q[beta^+-1, t]); the Hopf collapse check over
+# Q[beta^+-1, t]/(t - 3 beta^2) at N = 4 builds 3,132 x 852 and stays
+# admitted.
+MAX_LATTICE_CELLS = 4 * 10 ** 6
+
+
 def degree_lattice(ring, degree, generators, elements, bound):
     """(carrier, rows, truncated) presenting one degree of a graded module.
 
@@ -787,7 +798,8 @@ def degree_lattice(ring, degree, generators, elements, bound):
     one monomial multiple of an element.  `truncated` says that an
     enumeration left a monomial past the bound out (`lattice_truncated`);
     only then can a product term fall outside the carrier, and it is
-    appended to it.
+    appended to it.  More than MAX_LATTICE_CELLS cells raise
+    BoundExceeded before any dense row is built.
 
     Inside, coordinates are (name, key) pairs: the ring is first widened
     until the bound is a stored exponent, so the row of monomial m times
@@ -830,6 +842,11 @@ def degree_lattice(ring, degree, generators, elements, bound):
                 position[key] = len(carrier)
                 carrier.append((key[0], pack.exponents(key[1])))
                 truncated = True
+    if len(sparse) * len(carrier) > MAX_LATTICE_CELLS:
+        raise BoundExceeded(
+            f"degree {degree} at exponent bound {bound} needs a "
+            f"{len(sparse)} x {len(carrier)} lattice, more than "
+            f"{MAX_LATTICE_CELLS} cells")
     rows = [[0] * len(carrier) for _ in sparse]
     for dense, row in zip(rows, sparse):
         for key, c in row.items():

@@ -10,7 +10,7 @@ infinite-dimensional entries stay symbolic as multiples of the
 rationalized unit group.
 """
 
-from .errors import InputError, WindowEmpty
+from .errors import BoundExceeded, InputError, WindowEmpty
 
 _PARTITION_COUNTS = [1]
 
@@ -158,11 +158,23 @@ def motivic_ranks(field, bidegree):
     return DimExpr(q_mult=field.r1 + field.r2 if q % 2 else field.r2)
 
 
+# mgl_rational_table refuses a window of more cells than this, a fixed
+# bound and not an option: each cell is a DimExpr and then a rendered
+# string, about 160 bytes before the report text.  The golden window
+# -400:400,-200:200 has 321,201 cells; -1000:1000,-500:500 (2,003,001)
+# took 5.3 s and reached 395 MB.
+MAX_TABLE_CELLS = 10 ** 6
+
+
 def mgl_rational_table(field, p_range, q_range):
     """Convolution table entry(p, q) = sum_m P(m) * ranks(p+2m, q+m)."""
     (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
     if p_lo > p_hi or q_lo > q_hi:
         raise WindowEmpty(f"empty window p in {p_range}, q in {q_range}")
+    cells = (p_hi - p_lo + 1) * (q_hi - q_lo + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise BoundExceeded(f"the window has {cells} cells, more than "
+                            f"{MAX_TABLE_CELLS}")
     table = {}
     for p in range(p_lo, p_hi + 1):
         for q in range(q_lo, q_hi + 1):

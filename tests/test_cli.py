@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import argparse_oracle
-from cobalt import cli, verify
+from cobalt import cli, landweber, rings, tables, verify
 from cobalt.cli import main
 
 
@@ -694,6 +694,45 @@ def test_json_nested_too_deeply_is_refused(capsys, tmp_path, argv):
     assert captured.err.startswith("cobalt: error: ")
     assert "is nested too deeply" in captured.err
     assert "Traceback" not in captured.err
+
+
+# -- sizes refused before the work that would exhaust memory ---------------
+
+
+def _refused_quickly(capsys, argv, field):
+    start = time.perf_counter()
+    _refused(capsys, argv, field)
+    assert time.perf_counter() - start < 2
+
+
+def test_hopf_collapse_refuses_a_lattice_past_the_cell_bound(capsys,
+                                                             tmp_path):
+    # degree 4 at exponent bound 6 reaches 34,300 x 17,150 cells over
+    # Q[e_inv, t^+-1, f] with |e_inv| = 4, |t| = -1, |f| = 0
+    law = _module_file(tmp_path, {
+        "ring": {"base": "Q", "relations": ["t - t"],
+                 "generators": [{"name": "e_inv", "adams_degree": 4},
+                                {"name": "t", "adams_degree": -1,
+                                 "invertible": True},
+                                {"name": "f", "adams_degree": 0}]},
+        "law": "additive"})
+    _refused_quickly(capsys, ["hopf", "--N", "2", "--induced", law],
+                     f"more than {rings.MAX_LATTICE_CELLS} cells")
+
+
+def test_cobordism_refuses_a_window_past_the_cell_bound(capsys):
+    cells = tables.MAX_TABLE_CELLS + 1
+    _refused_quickly(capsys, ["cobordism", "--field", "Q",
+                              "--window", f"1:{cells},0:0"],
+                     f"the window has {cells} cells")
+
+
+def test_landweber_refuses_a_window_past_the_degree_bound(capsys):
+    degrees = landweber.MAX_WINDOW_DEGREES + 1
+    _refused_quickly(capsys, ["landweber", "--law", "additive",
+                              "--primes", "2", "--height", "1",
+                              "--window", f"1:{degrees}"],
+                     f"the window has {degrees} degrees")
 
 
 # -- the loaders under drawn JSON ----------------------------------------
