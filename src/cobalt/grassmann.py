@@ -5,7 +5,10 @@ relations found in degrees d+1..n of the series inverse of
 1 + x1 t + ... + xr t^r.  The Schur classes Delta_a, one per partition
 a inside the d x r box, form a Z-basis; Delta_a is the d x d
 determinant with (row, col) entry x_{a_row - row + col} (x_0 = 1,
-x_k = 0 outside 0..r).
+x_k = 0 outside 0..r).  The ring builds each Delta_a by Pieri's rule
+from classes built before (`GrassRing._schur`); the determinant,
+`schur_polynomial`, is the independent route that
+`determinant_identities` and the tests compare against.
 
 Reduction to the Schur basis is Pieri straightening: x_i acts as the
 one-row class Delta_(i), so multiplying by it adds a horizontal i-strip
@@ -43,10 +46,16 @@ def partitions_of(total, rows, width):
     """Partitions of `total` with at most `rows` parts, parts <= width.
 
     Tuples are trimmed (no trailing zeros) and listed in descending
-    lexicographic order.
+    lexicographic order.  Each list is built once per process; callers
+    get a fresh copy of it.
     """
+    return list(_partitions(total, rows, width))
+
+
+@lru_cache(maxsize=None)
+def _partitions(total, rows, width):
     if rows < 0 or width < 0:
-        return [] if total else [()]
+        return () if total else ((),)
     out = []
 
     # rec is handed itself, not a closure over its own name, so a call
@@ -63,14 +72,14 @@ def partitions_of(total, rows, width):
             prefix.pop()
 
     rec(rec, [], total, width, rows)
-    return out
+    return tuple(out)
 
 
 def partitions_in_box(rows, width):
     """All partitions in the rows x width box, by size then lex-descending."""
     out = []
     for total in range(rows * width + 1):
-        out.extend(partitions_of(total, rows, width))
+        out.extend(_partitions(total, rows, width))
     return out
 
 
@@ -146,11 +155,34 @@ class GrassRing:
         return self._schur(self.check_partition(partition))[0]
 
     def _schur(self, a):
-        """Delta_a and its terms by exponent tuple, kept per ring."""
-        if a not in self._schur_cache:
-            poly = schur_polynomial(self.ring, a, self.d)
-            self._schur_cache[a] = poly, poly.exponent_terms()
-        return self._schur_cache[a]
+        """Delta_a and its terms by exponent tuple, kept per ring.
+
+        Built by Pieri's rule from classes built before, not as a
+        determinant.  With k = a_1 and mu = (a_2, a_3, ...), the strip
+        shapes of x_k * Delta_mu are a itself and shapes nu with
+        nu_1 > k: a nu with nu_1 <= k has nu_i <= a_i in every row and
+        the same size as a.  A strip that leaves the box has a first
+        Jacobi-Trudi row x_{nu_1}, x_{nu_1 + 1}, ... of zeros, so
+        Delta_a = x_k * Delta_mu - sum of Delta_nu over the other shapes
+        of `_pieri(mu, k)`, an identity of polynomials, not only of
+        classes (Macdonald, Symmetric Functions, I.3 and I.5).  The
+        recursion ends: mu has fewer parts, and each nu a longer first
+        row, at most r.
+        """
+        cached = self._schur_cache.get(a)
+        if cached is not None:
+            return cached
+        if not a:
+            poly = self.ring.one()
+        else:
+            k, mu = a[0], a[1:]
+            minus_one = -self.ring.one()
+            poly = self.ring.dot(
+                [(self._schur(mu)[0], self.ring.gen(k - 1))]
+                + [(self._schur(nu)[0], minus_one)
+                   for nu in self._pieri(mu, k) if nu != a])
+        cached = self._schur_cache[a] = poly, poly.exponent_terms()
+        return cached
 
     def _pieri(self, shape, k):
         """Shapes in the box that add a horizontal k-strip to `shape`.
@@ -213,8 +245,12 @@ class GrassRing:
         The Pieri chain starts at shape a and runs over the monomials of
         Delta_b alone, so the product Delta_a * Delta_b is never expanded.
         """
-        return self._reduce(self._schur(self.check_partition(b))[1],
-                            self.check_partition(a))
+        return self._multiply(self.check_partition(a),
+                              self.check_partition(b))
+
+    def _multiply(self, a, b):
+        """`multiply` for trimmed partitions in the box, unchecked."""
+        return self._reduce(self._schur(b)[1], a)
 
     def pairing(self, a, b):
         """Coefficient of the box-filling class in Delta_a * Delta_b."""
@@ -222,13 +258,15 @@ class GrassRing:
         b = self.check_partition(b)
         if sum(a) + sum(b) != self.d * self.r:
             return 0
-        return self.multiply(a, b).get(self.top, 0)
+        return self._multiply(a, b).get(self.top, 0)
 
     def gram_matrix(self, degree):
         """Pairing matrix between degree and its complementary degree."""
         rows = self.partitions(degree)
         cols = self.partitions(self.d * self.r - degree)
-        matrix = [[self.pairing(a, b) for b in cols] for a in rows]
+        top = self.top
+        matrix = [[self._multiply(a, b).get(top, 0) for b in cols]
+                  for a in rows]
         return rows, cols, matrix
 
     def __repr__(self):
@@ -245,8 +283,10 @@ def schur_polynomial(ring, partition, rows):
     x_{a_row - row + col}, evaluated by subset expansion.
 
     x_0 means 1 and x_k vanishes outside 0..width, width = number of
-    ring generators.  The row count matters: the same partition padded
-    into more rows is a genuinely different determinant.
+    ring generators.  The same partition padded into more rows is a
+    different matrix with the same value, which `determinant_identities`
+    checks.  This is the oracle route: `GrassRing` builds its classes by
+    Pieri's rule and never calls it.
     """
     partition = tuple(partition)
     if len(partition) > rows:
@@ -418,6 +458,12 @@ def products_report(n, d):
     """
     G = grassmannian(n, d)
     box = G.partitions()
-    failing = [{"a": list(a), "b": list(b)} for a in box for b in box
-               if G.multiply(a, b) != lr_multiply(a, b, d, n - d)]
+    bad = []
+    for i, a in enumerate(box):
+        for j in range(i, len(box)):
+            # c^lam_ab = c^lam_ba: one tableau count for both orders
+            want = lr_multiply(a, box[j], d, n - d)
+            bad.extend((x, y) for x, y in {(i, j), (j, i)}
+                       if G._multiply(box[x], box[y]) != want)
+    failing = [{"a": list(box[i]), "b": list(box[j])} for i, j in sorted(bad)]
     return not failing, failing or None

@@ -27,7 +27,7 @@ integers coprime to p are treated as units.
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 
 
 def identity_matrix(n):
@@ -35,7 +35,7 @@ def identity_matrix(n):
 
 
 def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def columns_matrix(cols, height):
@@ -316,19 +316,24 @@ def kernel_basis(matrix):
     return [[s.v[i][j] for i in range(s.cols)] for j in range(s.rank, s.cols)]
 
 
-def solve_int(matrix, rhs):
-    """One integer solution x of matrix @ x = rhs, or None."""
+def solve_int(matrix, rhs, form=None):
+    """One integer solution x of matrix @ x = rhs, or None.
+
+    `form`, if given, is the Smith form of `matrix`, factored once by a
+    caller that solves for many right-hand sides.
+    """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if m == 0:
         return [0] * n
     if n == 0:
         return [] if all(x == 0 for x in rhs) else None
-    s = smith_normal_form(matrix)
+    s = smith_normal_form(matrix) if form is None else form
     w = mat_vec(s.u, rhs)
+    rank = s.rank
     y = [0] * n
     for i in range(m):
-        if i < s.rank:
+        if i < rank:
             d = s.divisors[i]
             if w[i] % d:
                 return None
@@ -338,12 +343,13 @@ def solve_int(matrix, rhs):
     return mat_vec(s.v, y)
 
 
-def has_solution_p_local(matrix, rhs, p):
+def has_solution_p_local(matrix, rhs, p, form=None):
     """Does matrix @ x = rhs admit a solution over Z localized at p?
 
     Equivalent to: for every i, the i-th transformed entry is divisible
     by the p-part of the i-th divisor, and entries past the rank vanish
     exactly (denominators coprime to p cannot repair a free direction).
+    `form`, if given, is the Smith form of `matrix`, as for solve_int.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -351,10 +357,11 @@ def has_solution_p_local(matrix, rhs, p):
         return True
     if n == 0:
         return all(x == 0 for x in rhs)
-    s = smith_normal_form(matrix)
+    s = smith_normal_form(matrix) if form is None else form
     w = mat_vec(s.u, rhs)
+    rank = s.rank
     for i in range(m):
-        if i < s.rank:
+        if i < rank:
             need = _p_valuation(s.divisors[i], p)
             if need and w[i] != 0 and _p_valuation(w[i], p) < need:
                 return False
@@ -373,19 +380,38 @@ def _p_valuation(x, p):
     return k
 
 
-def lattice_contains(gens, vec, p=None):
-    """Is vec in the sublattice of Z^n spanned by gens (p-locally if p)?"""
+def lattice_contains(gens, vec, p=None, form=None):
+    """Is vec in the sublattice of Z^n spanned by gens (p-locally if p)?
+
+    `form`, if given, is the Smith form of columns_matrix(gens, len(vec)),
+    factored once by a caller that tests many vectors.
+    """
     if not gens:
         return all(x == 0 for x in vec)
     mat = columns_matrix(gens, len(vec))
     if p is None:
-        return solve_int(mat, vec) is not None
-    return has_solution_p_local(mat, vec, p)
+        return solve_int(mat, vec, form) is not None
+    return has_solution_p_local(mat, vec, p, form)
 
 
 def lattices_equal(gens_a, gens_b, p=None):
-    return (all(lattice_contains(gens_b, g, p=p) for g in gens_a)
-            and all(lattice_contains(gens_a, g, p=p) for g in gens_b))
+    """Do gens_a and gens_b span the same lattice (p-locally if p)?
+
+    Each side's matrix is factored once, for all the other side's
+    vectors.
+    """
+    return _all_contained(gens_a, gens_b, p) and \
+        _all_contained(gens_b, gens_a, p)
+
+
+def _all_contained(vecs, gens, p):
+    """Does every vector of vecs lie in the lattice of gens?"""
+    if not vecs:
+        return True
+    form = None
+    if gens and vecs[0]:
+        form = smith_normal_form(columns_matrix(gens, len(vecs[0])))
+    return all(lattice_contains(gens, v, p, form) for v in vecs)
 
 
 def quotient_invariants(ambient_rank, gens, p=None):

@@ -165,6 +165,14 @@ def motivic_ranks(field, bidegree):
 # took 5.3 s and reached 395 MB.
 MAX_TABLE_CELLS = 10 ** 6
 
+# The cell at p <= 1 reads the partition count P((1 - p) // 2), which
+# Euler's recurrence builds from every smaller count, so one cell far
+# out in p costs about the square of its index: on a 2-vCPU x86_64
+# machine P(10,000) takes 0.19 s, P(20,000) 0.56 s and P(500,000) more
+# than 120 s.  A window whose least p needs an index past this fixed
+# bound is refused before any cell.
+MAX_PARTITION_INDEX = 10 ** 4
+
 
 def mgl_rational_table(field, p_range, q_range):
     """Convolution table entry(p, q) = sum_m P(m) * ranks(p+2m, q+m)."""
@@ -175,6 +183,9 @@ def mgl_rational_table(field, p_range, q_range):
     if cells > MAX_TABLE_CELLS:
         raise BoundExceeded(f"the window has {cells} cells, more than "
                             f"{MAX_TABLE_CELLS}")
+    if (1 - p_lo) // 2 > MAX_PARTITION_INDEX:
+        raise BoundExceeded(f"p = {p_lo} needs the partition count of "
+                            f"{(1 - p_lo) // 2}, past {MAX_PARTITION_INDEX}")
     table = {}
     for p in range(p_lo, p_hi + 1):
         for q in range(q_lo, q_hi + 1):

@@ -727,6 +727,26 @@ def test_cobordism_refuses_a_window_past_the_cell_bound(capsys):
                      f"the window has {cells} cells")
 
 
+def test_cobordism_refuses_a_cell_far_out_in_p(capsys):
+    # one cell, but it reads the partition count P(500,000)
+    start = time.perf_counter()
+    _refused(capsys, ["cobordism", "--field", "Q", "--window",
+                      "-1000000:-1000000,0:0"],
+             "p = -1000000 needs the partition count of 500000")
+    assert time.perf_counter() - start < 1
+    # the least p whose index is past the bound is refused, the next
+    # one is admitted
+    edge = -2 * tables.MAX_PARTITION_INDEX
+    _refused(capsys, ["cobordism", "--field", "Q",
+                      "--window", f"{edge - 2}:{edge - 2},0:0"],
+             f"past {tables.MAX_PARTITION_INDEX}")
+    code, report = run_json(capsys, "cobordism", "--field", "Q", "--window",
+                            f"{edge}:{edge},{edge // 2}:{edge // 2}")
+    assert code == 0
+    assert report["cells"][0][0] == \
+        f"Q^{tables.partition_count(tables.MAX_PARTITION_INDEX)}"
+
+
 def test_landweber_refuses_a_window_past_the_degree_bound(capsys):
     degrees = landweber.MAX_WINDOW_DEGREES + 1
     _refused_quickly(capsys, ["landweber", "--law", "additive",

@@ -3,6 +3,7 @@ restriction complex."""
 
 import pytest
 
+from cobalt import grassmann
 from cobalt.errors import BoundExceeded, InputError, PartitionOutOfBox
 from cobalt.grassmann import (
     GrassRing,
@@ -17,6 +18,7 @@ from cobalt.grassmann import (
     size_limit,
     verify_ranks,
 )
+from cobalt.lr import lr_multiply
 from cobalt.rings import Polynomial
 
 from lattice_oracle import LatticeReducer
@@ -30,6 +32,17 @@ def test_partitions_in_box():
     assert partitions_of(5, 2, 2) == []
     assert partitions_in_box(0, 3) == [()]
     assert partitions_in_box(3, 0) == [()]
+
+
+def test_partition_lists_are_built_once_and_handed_out_as_copies():
+    first = partitions_of(4, 2, 3)
+    assert first == [(3, 1), (2, 2)]
+    first.append("junk")
+    assert partitions_of(4, 2, 3) == [(3, 1), (2, 2)]
+    box = partitions_in_box(2, 2)
+    box.clear()
+    assert partitions_in_box(2, 2) == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
+    assert grassmann._partitions(4, 2, 3) is grassmann._partitions(4, 2, 3)
 
 
 def test_rank_and_top():
@@ -49,6 +62,16 @@ def test_schur_fixtures():
     assert G.schur((2,)) == x2
     assert G.schur((2, 1)) == x1 * x2
     assert G.schur((2, 2)) == x2 ** 2
+
+
+def test_pieri_schur_classes_match_the_determinants():
+    # every class of every box with n <= 8, built from smaller ones by
+    # Pieri's rule, against the Jacobi-Trudi determinant
+    for n in range(9):
+        for d in range(n + 1):
+            G = grassmannian(n, d)
+            for a in G.partitions():
+                assert G.schur(a) == schur_polynomial(G.ring, a, d), (n, d, a)
 
 
 def test_relations_are_inverse_series():
@@ -158,6 +181,39 @@ def test_products_report(monkeypatch):
                         lambda a, b, d, r: {})
     assert products_report(2, 1) == (False, [
         {"a": [], "b": []}, {"a": [], "b": [1]}, {"a": [1], "b": []}])
+
+
+def test_products_report_counts_each_unordered_pair_once(monkeypatch):
+    calls = []
+
+    def counted(a, b, d, r):
+        calls.append((a, b))
+        return lr_multiply(a, b, d, r)
+
+    monkeypatch.setattr("cobalt.grassmann.lr_multiply", counted)
+    assert products_report(5, 2) == (True, None)
+    k = grassmannian(5, 2).rank
+    assert len(calls) == k * (k + 1) // 2
+    assert len({frozenset(pair) for pair in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("bad", [((1,), (2, 1)), ((2, 1), (1,))])
+def test_products_report_names_the_corrupted_order(monkeypatch, bad):
+    # one tableau count serves both orders, but the Pieri product of
+    # each order is still checked on its own
+    G = grassmannian(5, 2)
+    honest = GrassRing._multiply
+
+    def corrupted(self, a, b):
+        out = honest(self, a, b)
+        if self is G and (a, b) == bad:
+            out = dict(out)
+            out[(3, 3)] = out.get((3, 3), 0) + 1
+        return out
+
+    monkeypatch.setattr(GrassRing, "_multiply", corrupted)
+    assert products_report(5, 2) == (
+        False, [{"a": list(bad[0]), "b": list(bad[1])}])
 
 
 def test_oracle_symmetry():

@@ -131,6 +131,29 @@ def test_lattices_equal():
     assert snf.lattices_equal([], [[0, 0]])
 
 
+def test_lattices_equal_factors_each_side_once(monkeypatch):
+    calls = []
+    smith = snf.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix)
+        return smith(matrix)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counted)
+    a = [[2, 0, 0, 1], [0, 3, 1, 0], [1, 1, 1, 1], [0, 0, 0, 5]]
+    # another basis of the same lattice, by unimodular column operations
+    b = [a[0], [x + y for x, y in zip(a[1], a[0])],
+         [x - 2 * y for x, y in zip(a[2], a[1])],
+         [x + y for x, y in zip(a[3], a[2])]]
+    for p in (None, 2, 3):
+        calls.clear()
+        assert snf.lattices_equal(a, b, p)
+        assert len(calls) == 2
+    calls.clear()
+    assert not snf.lattices_equal(a, b[:3])
+    assert len(calls) <= 2
+
+
 def test_quotient_invariants():
     free, torsion = snf.quotient_invariants(2, [[2, 0], [0, 3]])
     assert free == 0
@@ -363,6 +386,18 @@ def test_lattice_certificate(case, p):
         for row in lattice.rows:
             assert snf.solve_int(snf.columns_matrix(gens, width), row) \
                 is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_cases(), _primes)
+def test_lattice_contains_with_a_factored_form(case, p):
+    """A Smith form factored once answers as the one-shot test does,
+    over Z (p None) and over Z_(p)."""
+    gens, width, vec = case
+    form = snf.smith_normal_form(snf.columns_matrix(gens, width))
+    assert snf.lattice_contains(gens, vec, p, form=form) == \
+        snf.lattice_contains(gens, vec, p)
+    assert all(snf.lattice_contains(gens, g, p, form=form) for g in gens)
 
 
 def _rational_cases():
