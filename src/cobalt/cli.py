@@ -377,14 +377,18 @@ def _cmd_hopf(args):
 
     H = mumu_rational_truncated(args.N)
     axioms = verify_hopf_axioms(H)
+    right_unit = {k: str(v) for k, v in sorted(H.eta_R.items())}
+    # the m-entries of the conjugation are the eta_R objects printed above
+    conjugation = {k: right_unit[k] if v is H.eta_R.get(k) else str(v)
+                   for k, v in sorted(H.conjugation.items())}
     return _report(
         "hopf", N=args.N,
         algebra_generators=[g.name for g in H.A.gens],
         gamma_generators=[g.name for g in H.Gamma.gens],
-        right_unit={k: str(v) for k, v in sorted(H.eta_R.items())},
+        right_unit=right_unit,
         counit={k: str(v) for k, v in sorted(H.counit.items())},
         comult={k: str(v) for k, v in sorted(H.comult.items())},
-        conjugation={k: str(v) for k, v in sorted(H.conjugation.items())},
+        conjugation=conjugation,
         axioms=axioms), axioms["pass"]
 
 

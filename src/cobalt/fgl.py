@@ -17,16 +17,22 @@ G(x, y, z) = F(F(x, y), z) with F(x, F(y, z)).  For a commutative law
 that is G symmetric in y and z, and the check forms only the half of G
 at x-exponent >= y-exponent; otherwise both sides are substituted.
 
-Logarithms go through the invariant differential: l'(x) is the
-reciprocal of dF/dy at (x, 0), integrated termwise, which needs a Q
-base.  The p-series is the p-fold formal sum; its coefficient at
-x^(p^n) is the height-n generator, with v_0 = p.
+A law is built from its logarithm l over a Q base through the
+log-power table [x^a] l^i, formed once and contracted with the
+coefficients of the inverse series in two `Ring.dot` stages, at
+x-exponent >= y-exponent only (`fgl_from_log`).  Logarithms go through
+the invariant differential: l'(x) is the reciprocal of dF/dy at (x, 0),
+integrated termwise, which needs a Q base.  The p-series is the p-fold
+formal sum, built by doubling in O(log p) formal sums; its coefficient
+at x^(p^n) is the height-n generator, with v_0 = p, and a generator
+whose order p^n is past MAX_P_SERIES_ORDER is refused.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .errors import (
+    BoundExceeded,
     InputError,
     MissingBeta,
     NonzeroConstantInner,
@@ -114,14 +120,53 @@ def universal_log(ring, order, prefix="m"):
 
 
 def fgl_from_log(log):
-    """exp(log x + log y) where exp is the compositional inverse."""
+    """exp(log x + log y) where exp is the compositional inverse.
+
+    With l = log and e = exp, expanding (l(x) + l(y))^n binomially gives
+    [x^a y^b] F = sum_{i,j} C(i+j, i) e_{i+j} [x^a] l^i [y^b] l^j.  The
+    log-power table P[i][a] = [x^a] l^i is formed once, and the sum is
+    contracted in two `Ring.dot` stages: S[a][j] = sum_i C(i+j, i)
+    e_{i+j} P[i][a], then F[a][b] = sum_j S[a][j] P[j][b].  F is
+    symmetric, so only a >= b >= 1 is formed and the rest mirrored;
+    F(x, 0) = e(l(x)) = x, which gives the linear terms.
+    """
     ring = log.ring
     if ring.base != "Q":
         raise NotQAlgebra("building a law from its logarithm needs base Q")
     order = log.order
-    x, y = _variables(ring, order, 2)
-    series = log.revert().compose(log.compose(x) + log.compose(y))
-    return FormalGroupLaw(ring, series, order, exact=False)
+    exp = log.revert()
+    dot = ring.dot
+    # b >= 1 and a + b <= order leave a <= order - 1
+    top = order - 1
+    ell = [(k, c) for (k,), c in log.coeffs.items()]
+    powers = [{0: ring.one()}]      # powers[i]: a -> P[i][a], nonzero only
+    for i in range(1, top + 1):
+        below = powers[-1]
+        row = {}
+        for a in range(i, top + 1):
+            entry = dot([(c, below[a - k]) for k, c in ell if a - k in below])
+            if not entry.is_zero():
+                row[a] = entry
+        powers.append(row)
+    scaled = {}     # (i, j) -> C(i+j, i) e_{i+j}, for i, j >= 1
+    for (n,), c in exp.coeffs.items():
+        for i in range(1, n):
+            scaled[i, n - i] = c * comb(n, i)
+    # S[a][j] for j <= b <= min(a, order - a); P[i][a] = 0 for i > a
+    partial = {}
+    for a in range(1, top + 1):
+        for j in range(1, min(a, order - a) + 1):
+            partial[a, j] = dot([(scaled[i, j], powers[i][a])
+                                 for i in range(1, a + 1)
+                                 if (i, j) in scaled and a in powers[i]])
+    coeffs = {(1, 0): ring.one(), (0, 1): ring.one()}
+    for a in range(1, top + 1):
+        for b in range(1, min(a, order - a) + 1):
+            coeffs[a, b] = coeffs[b, a] = dot([
+                (partial[a, j], powers[j][b]) for j in range(1, b + 1)
+                if b in powers[j]])
+    return FormalGroupLaw(ring, TruncSeries(ring, order, coeffs, nvars=2),
+                          order, exact=False)
 
 
 def fgl_universal_rational(order=8):
@@ -302,6 +347,10 @@ def fgl_log(f, order=None):
 def p_series(f, p, order):
     """The p-fold formal sum [p](x) to the given order.
 
+    Built by doubling, in O(log p) formal sums: [2k] = [k] +_F [k] and
+    [2k + 1] = [2k] +_F x.  That regrouping needs F associative, as is
+    every law that reaches here: the exact built-in laws, a law built
+    from its logarithm, and custom laws, which the command line checks.
     The law keeps the longest [p](x) formed for each p, and a request
     it covers is its truncation, so `--p-series` and `--landweber` at
     one prime form it once.
@@ -315,18 +364,36 @@ def p_series(f, p, order):
     if known is not None and known.order >= order:
         return known.truncate(order)
     x = TruncSeries.variable(f.ring, order)
-    result = TruncSeries(f.ring, order, {})
-    for _ in range(p):
-        result = f.formal_sum(result, x) if result.coeffs else x
+    result = x
+    for bit in bin(p)[3:]:      # the bits of p after the leading one
+        result = f.formal_sum(result, result)
+        if bit == "1":
+            result = f.formal_sum(result, x)
     f._p_series[p] = result
     return result
+
+
+# v_n needs [p](x) to order p^n, and a height whose p^count is past this
+# order is refused, a fixed bound and not an option: each doubling step
+# multiplies dense series of that order, so p = 999983 at height 2 (order
+# about 10^12) would never finish.  At the bound the multiplicative law
+# at p = 997 takes about 0.5 s; the largest order of the benchmark is
+# 343 = 7^3.  The bound is on the order only: a custom law whose
+# coefficients have many terms can still take far longer below it.
+MAX_P_SERIES_ORDER = 10 ** 3
 
 
 def landweber_generators(f, p, count):
     """[v_0, .., v_count]: v_0 = p, v_n = coeff of x^(p^n) in [p](x)."""
     if count < 0:
         raise InputError("count must be nonnegative")
-    need = p ** count if count else 1
+    need = 1
+    for _ in range(count):      # p^count, refused as soon as it is past
+        need *= p
+        if need > MAX_P_SERIES_ORDER:
+            raise BoundExceeded(
+                f"extracting v_{count} at p={p} needs [p](x) to order "
+                f"{p}^{count}, past {MAX_P_SERIES_ORDER}")
     if not f.exact and need > f.order:
         raise TruncationTooSmall(
             f"extracting v_{count} at p={p} needs truncation {need}, "

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import argparse_oracle
-from cobalt import cli, landweber, rings, tables, verify
+from cobalt import cli, fgl, landweber, rings, tables, verify
 from cobalt.cli import main
 
 
@@ -753,6 +753,47 @@ def test_landweber_refuses_a_window_past_the_degree_bound(capsys):
                               "--primes", "2", "--height", "1",
                               "--window", f"1:{degrees}"],
                      f"the window has {degrees} degrees")
+
+
+def test_a_p_series_at_a_huge_p_is_built_by_doubling(capsys):
+    # p - 1 formal sums at p = 10^8 ran past 10 s; doubling takes 26
+    # sums and 11 more for the set bits below the leading one
+    p = 10 ** 8
+    start = time.perf_counter()
+    code, report = run_json(capsys, "fgl", "--law", "multiplicative",
+                            "--N", "4", "--p-series", str(p))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    # [p](x) = (1 - (1 - beta x)^p) / beta
+    assert report["p_series"]["coefficients"] == {
+        "1": str(p),
+        "2": f"-{math.comb(p, 2)}*beta",
+        "3": f"{math.comb(p, 3)}*beta^2",
+        "4": f"-{math.comb(p, 4)}*beta^3"}
+
+
+def test_fgl_refuses_a_landweber_height_past_the_series_bound(capsys):
+    # v_2 at p = 999983 asked for [p](x) to order about 10^12
+    _refused_quickly(capsys, ["fgl", "--law", "multiplicative", "--N", "4",
+                              "--landweber", "999983", "2"],
+                     f"past {fgl.MAX_P_SERIES_ORDER}")
+    # the largest prime order within the bound is admitted and finishes
+    start = time.perf_counter()
+    code, report = run_json(capsys, "fgl", "--law", "multiplicative",
+                            "--N", "4", "--landweber", "997", "1")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert report["landweber_generators"]["sequence"] == ["997", "beta^996"]
+    _refused(capsys, ["fgl", "--law", "multiplicative", "--N", "4",
+                      "--landweber", "1009", "1"],
+             f"1009^1, past {fgl.MAX_P_SERIES_ORDER}")
+
+
+def test_landweber_refuses_a_height_past_the_series_bound(capsys):
+    _refused_quickly(capsys, ["landweber", "--law", "multiplicative",
+                              "--primes", "999983", "--height", "2",
+                              "--window", "-2:2"],
+                     f"past {fgl.MAX_P_SERIES_ORDER}")
 
 
 # -- the loaders under drawn JSON ----------------------------------------

@@ -105,6 +105,35 @@ def test_log_of_universal_is_the_log():
     assert log.is_homogeneous()
 
 
+def _composed_law(log):
+    """exp(log x + log y) by composition, every power of the bivariate
+    series formed in full: the oracle of `fgl_from_log`."""
+    x, y = (TruncSeries.variable(log.ring, log.order, 2, t) for t in (0, 1))
+    return log.revert().compose(log.compose(x) + log.compose(y))
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_law_from_the_log_power_table_matches_composition(order):
+    log = universal_log(universal_log_ring(order), order)
+    assert fgl_from_log(log).series == _composed_law(log)
+
+
+def test_law_from_a_fraction_log_over_a_laurent_ring():
+    ring = mult_ring("Q")
+    beta, beta_inv = ring.gen("beta"), ring.gen("beta_inv")
+    # -log(1 - beta x)/beta gives x + y - beta x y
+    log = TruncSeries(ring, 8, {k: beta ** (k - 1) * Fraction(1, k)
+                                for k in range(1, 9)})
+    f = fgl_from_log(log)
+    assert f.series == _composed_law(log)
+    assert f.series == fgl_multiplicative(ring).series.truncate(8)
+    # a linear coefficient other than 1, gaps, and negative powers
+    log = TruncSeries(ring, 9, {
+        1: Fraction(2, 3), 2: beta * Fraction(-1, 2), 4: beta_inv * 5,
+        5: beta ** 4 * Fraction(5, 9) + beta_inv ** 2, 7: Fraction(1, 7)})
+    assert fgl_from_log(log).series == _composed_law(log)
+
+
 def test_log_of_multiplicative():
     ring = mult_ring("Q")
     beta = ring.gen("beta")
@@ -436,3 +465,13 @@ def test_associativity_forms_half_of_the_triple_law(monkeypatch):
     products = _term_products(monkeypatch)
     assert fgl_check_axioms(f)["ok"]
     assert sum(products) <= 46_697
+
+
+def test_the_law_from_its_log_forms_no_full_bivariate_power(monkeypatch):
+    """The universal law at N = 12 multiplies at most 11,466 term pairs:
+    the log-power table and two contractions at a >= b.  Composing exp
+    with log x + log y, every power of that series formed in full, took
+    27,912."""
+    products = _term_products(monkeypatch)
+    fgl_universal_rational(12)
+    assert sum(products) <= 11_466

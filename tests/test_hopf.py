@@ -1,6 +1,7 @@
 """Universal rational Hopf algebroid, axiom verification, induced
 presentations, and cooperations dimensions."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,13 @@ from cobalt.hopf import (
     mumu_rational_truncated,
     verify_hopf_axioms,
 )
-from cobalt.rings import GenSpec, Ring, laurent_ring, polynomial_ring
+from cobalt.rings import (
+    GenSpec,
+    Polynomial,
+    Ring,
+    laurent_ring,
+    polynomial_ring,
+)
 from cobalt.series import TruncSeries
 from cobalt.fgl import universal_log
 
@@ -125,6 +132,65 @@ def test_corrupted_comult_detected():
     assert "right_counit_law" in failing
     assert {"generator": "b2", "degree": 2} in \
         failing["right_counit_law"]["witnesses"]
+
+
+def _with_fresh_values(H):
+    """H with every assignment value a copy of its own, so no polynomial
+    is shared between entries and every image is formed anew."""
+    def fresh(assignment):
+        return {k: copy.copy(v) for k, v in assignment.items()}
+
+    square = TensorSquare(H.square.ring, H.square.origin,
+                          fresh(H.square.left), fresh(H.square.right))
+    cube = TensorCube(H.cube.ring, fresh(H.cube.push12),
+                      fresh(H.cube.push23))
+    return HopfAlgebroidPresentation(
+        H.A, H.Gamma, fresh(H.eta_L), fresh(H.eta_R), fresh(H.counit), H.N,
+        square, fresh(H.comult), cube, fresh(H.conjugation))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_each_image_is_formed_once(monkeypatch, N):
+    """The conjugation holds the eta_R objects, so the involution on the
+    m_k and the swap of the right unit share N - 1 images; the report is
+    the one in which every image is recomputed."""
+    H = mumu_rational_truncated(N)
+    maps = []
+    map_to = Polynomial.map_to
+    monkeypatch.setattr(Polynomial, "map_to",
+                        lambda p, ring, images: maps.append(p)
+                        or map_to(p, ring, images))
+    recomputed = verify_hopf_axioms(_with_fresh_values(H))
+    fresh_maps = len(maps)
+    maps.clear()
+    report = verify_hopf_axioms(H)
+    assert report == recomputed
+    assert report["pass"]
+    assert len(maps) == fresh_maps - (N - 1)
+
+
+def test_a_second_call_sees_an_assignment_changed_in_place():
+    """Images are kept per call: after a first check, changing a value
+    of the comultiplication in place changes the next report as it
+    changes the report of a presentation corrupted before any check."""
+    def corrupt(H):
+        H.comult["b2"] = H.comult["b2"] + H.square.ring.gen("bL2")
+
+    H = mumu_rational_truncated(4)
+    assert verify_hopf_axioms(H)["pass"]
+    corrupt(H)
+    fresh = mumu_rational_truncated(4)
+    corrupt(fresh)
+    assert verify_hopf_axioms(H) == verify_hopf_axioms(fresh)
+
+
+def test_a_corrupted_conjugation_fails_both_conjugation_checks():
+    H = mumu_rational_truncated(4)
+    H.conjugation["m1"] = H.conjugation["m1"] + H.Gamma.gen("m1")
+    failing = {c["name"]: c["witnesses"]
+               for c in verify_hopf_axioms(H)["checks"] if not c["pass"]}
+    for name in ("conjugation_involution", "conjugation_swaps_right_unit"):
+        assert {"generator": "m1", "degree": 1} in failing[name]
 
 
 def test_trivial_algebroid_passes():
