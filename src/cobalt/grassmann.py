@@ -337,10 +337,12 @@ def complex_report(n, d):
     """Exactness of the standard complex at R(n, d).
 
     Three lattices in Schur coordinates are compared in every degree:
-    the image of the degree-shifting inclusion from R(n-1, d-1), the
-    kernel of the restriction to R(n-1, d), and the ideal generated by
-    the top generator x_r.  The witness lists, in increasing order, the
-    degrees where they differ.
+    the image of the degree-shifting inclusion from R(n-1, d-1), which
+    sends Delta_mu to Delta_((r,) + mu) and so spans unit vectors (the
+    prepend identity of `determinant_identities`), the kernel of the
+    restriction to R(n-1, d), and the ideal generated by the top
+    generator x_r.  The witness lists, in increasing order, the degrees
+    where they differ.
     """
     G = grassmannian(n, d)
     r = G.r
@@ -365,8 +367,9 @@ def complex_report(n, d):
                                                           restrict), tparts)
                  for lam in parts], len(tparts)))
 
-        # image of the inclusion, via reduced determinant representatives
-        image = [_coordinates(G, G.schur((r,) + mu), parts)
+        # image of the inclusion: Delta_mu goes to Delta_((r,) + mu), the
+        # unit vector of that shape (for r = 0, mu is the empty shape)
+        image = [[int(lam == ((r,) + mu if r else mu)) for lam in parts]
                  for mu in (source.partitions(degree - r) if source else [])]
 
         # the ideal (x_r) in this degree from monomial multiples; for

@@ -340,18 +340,18 @@ def induced_hopf(A_pres, law, N):
 def cooperations_poincare(N):
     """Graded dimensions of Q[m1,..][b1,..] up to degree N.
 
-    Counted by direct monomial enumeration; verify.check_hopf_algebroid
-    compares them with the self-convolution of partition counts.
+    Counted, not listed: each generator of degree g adds
+    counts[k - g] to counts[k], k ascending (the coin-change count of
+    monomials).  verify.check_hopf_algebroid compares the counts with
+    the self-convolution of partition counts, which
+    `tables.partition_count` reads off Euler's pentagonal recurrence;
+    tests/test_hopf.py compares them with the listing of
+    `Ring.monomials_of_degree` as well.
     """
     if N < 0:
         raise InputError("need N >= 0")
-    specs = [(f"m{i}", i) for i in range(1, N + 1)]
-    specs += [(f"b{i}", i) for i in range(1, N + 1)]
-    ring = polynomial_ring("Q", specs)
-    dims = []
-    for k in range(N + 1):
-        monomials, truncated = ring.monomials_of_degree(k, max(k, 1))
-        if truncated:
-            raise IllFormed("enumeration hit the exponent bound")
-        dims.append(len(monomials))
-    return dims
+    counts = [1] + [0] * N
+    for g in [*range(1, N + 1)] * 2:
+        for k in range(g, N + 1):
+            counts[k] += counts[k - g]
+    return counts

@@ -40,12 +40,16 @@ under an exponent bound, and a row for each monomial multiple of given
 elements that lands there.  Components, Landweber quotients and the
 Hopf collapse check all call it.  It builds each row by shifting the
 element's packed keys by the monomial's key, and decodes only the keys
-of its carrier; each ring memoizes its enumerations for it, and
-`Ring.impose` records the relation degrees its callers read.  For a
-component one `snf.Lattice` echelon over the ring's scalars (Z, Z
-localized at a prime, or Q) yields the rank, a monomial basis and the
-torsion; its `truncated` flag is set exactly when the bound leaves out
-a monomial, and when it is off the invariants are exact.
+of its carrier, and `Ring.impose` records the relation degrees its
+callers read.  Each ring lists a degree once for it: on a ring whose
+generators are all plain and of positive degree, a bound of at least
+degree // (least generator degree) leaves no monomial out, so every
+such bound shares one listing, and every other bound flag is kept
+per (degree, bound).  For a component one `snf.Lattice` echelon
+over the ring's scalars (Z, Z localized at a prime, or Q) yields the
+rank, a monomial basis and the torsion; its `truncated` flag is set
+exactly when the bound leaves out a monomial, and when it is off the
+invariants are exact.
 """
 
 from dataclasses import dataclass, field
@@ -191,9 +195,15 @@ class Ring:
         self.relations = []
         self.relation_degrees = []          # parallel; None for a zero one
         self.pack = _Packing(self, 16)      # widened as exponents grow
-        # (degree, bound) -> [monomials, packing, keys in it], read by
-        # degree_lattice only
+        # (degree, bound or None) -> [monomials, packing, keys in it],
+        # read by degree_lattice only (`_enumeration`)
         self._enumerations = {}
+        # the least generator degree when every degree, an inverse's
+        # included, is positive, else None (`_bound_inactive`)
+        self._least_degree = (min(self.degrees, default=1)
+                              if all(d > 0 for d in self.degrees) else None)
+        # (degree, bound) -> `_beyond_bound` where `_bound_inactive` is off
+        self._beyond = {}
         # per field g and sign s of its exponent, read by _beyond_bound:
         # s*|g| and the sorted nonzero steps of a cofactor of g^s
         options = [[s * self.gens[i].adams_degree
@@ -394,13 +404,31 @@ class Ring:
         found.sort(reverse=True)
         return found, self._beyond_bound(degree, bound)
 
+    def _bound_inactive(self, degree, bound):
+        """Whether `bound` leaves no monomial of `degree` out, read off
+        the generator degrees alone.  When every generator is plain and
+        of positive degree (an inverse has the negated degree, so no
+        pair passes), an exponent e of a degree-k monomial has
+        e * least <= k, so none exceeds k // least.  Rings with an
+        inverse or a generator of degree <= 0 are never decided here."""
+        return (self._least_degree is not None
+                and bound >= degree // self._least_degree)
+
     def _beyond_bound(self, degree, bound):
         """Whether some monomial of `degree` has an exponent of absolute
         value above `bound`: g^(s*(bound+1)) times a cofactor whose steps
         are the generator degrees, an invertible one with both signs,
-        but g's own step with the sign s alone."""
-        return any(_reachable(degree - (bound + 1) * a, steps)
-                   for a, steps in self._past_bound)
+        but g's own step with the sign s alone.  False at once where
+        `_bound_inactive` holds; other flags are kept per
+        (degree, bound) on the ring."""
+        if self._bound_inactive(degree, bound):
+            return False
+        flag = self._beyond.get((degree, bound))
+        if flag is None:
+            flag = self._beyond[degree, bound] = any(
+                _reachable(degree - (bound + 1) * a, steps)
+                for a, steps in self._past_bound)
+        return flag
 
     def _monomial_str(self, exps):
         parts = []
@@ -754,11 +782,15 @@ class GradedComponentReport:
 
 def _enumeration(ring, degree, bound):
     """(monomials, keys) of `monomials_of_degree(degree, bound)`, the keys
-    in the ring's current packing.  Each ring lists a (degree, bound)
-    pair once; its keys are taken again after a widening."""
-    entry = ring._enumerations.get((degree, bound))
+    in the ring's current packing.  Each ring lists a degree once under
+    every bound `Ring._bound_inactive` finds inactive, keyed
+    (degree, None), and once per (degree, bound) otherwise: a bound that
+    leaves no monomial out lists them all, whatever its value.  The keys
+    are taken again after a widening."""
+    key = (degree, None if ring._bound_inactive(degree, bound) else bound)
+    entry = ring._enumerations.get(key)
     if entry is None:
-        entry = ring._enumerations[degree, bound] = [
+        entry = ring._enumerations[key] = [
             ring.monomials_of_degree(degree, bound)[0], None, None]
     if entry[1] is not ring.pack:
         entry[1], entry[2] = ring.pack, list(map(ring.pack.key, entry[0]))

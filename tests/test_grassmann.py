@@ -100,6 +100,16 @@ def test_reduce_round_trip():
         assert G.reduce(rel) == {}
 
 
+def test_inclusion_sends_schur_classes_to_unit_vectors():
+    # complex_report reads the image of R(n-1, d-1) as these unit vectors
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            G, r = grassmannian(n, d), n - d
+            for mu in grassmannian(n - 1, d - 1).partitions():
+                lam = (r,) + mu if r else mu
+                assert G.reduce(G.schur((r,) + mu)) == {lam: 1}
+
+
 def test_reduce_lists_shapes_in_partition_order():
     # by degree, then as partitions(degree) lists them
     G = grassmannian(7, 3)

@@ -32,6 +32,7 @@ from cobalt.rings import (
 )
 from cobalt.series import TruncSeries
 from cobalt.fgl import universal_log
+from cobalt.tables import partition_count
 
 
 def trivial_hopf_algebroid(specs=(("t", 1),), N=4):
@@ -342,6 +343,20 @@ def test_cooperations_poincare():
     dims = cooperations_poincare(12)
     assert dims == [1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481, 752, 1165]
     assert cooperations_poincare(0) == [1]
+
+
+def test_cooperations_poincare_counts_the_listing():
+    # the count, the monomials Ring.monomials_of_degree lists in
+    # Q[m1..m12, b1..b12], and the partition convolution agree
+    N = 12
+    ring = polynomial_ring("Q", [(f"{p}{i}", i) for p in "mb"
+                                 for i in range(1, N + 1)])
+    listings = [ring.monomials_of_degree(k, k) for k in range(N + 1)]
+    assert not any(active for _, active in listings)
+    convolution = [sum(partition_count(i) * partition_count(k - i)
+                       for i in range(k + 1)) for k in range(N + 1)]
+    assert [len(monos) for monos, _ in listings] == \
+        cooperations_poincare(N) == convolution
 
 
 def test_hopf_axiom_products_are_grouped(monkeypatch):

@@ -19,16 +19,18 @@ from cobalt.rings import (
     MAX_NESTING,
     GenSpec,
     Ring,
+    _enumeration,
     degree_lattice,
     graded_component,
+    lattice_truncated,
     laurent_ring,
     load_presentation,
     parse_expression,
     polynomial_ring,
 )
 
-from cobalt import snf
-from cobalt.grassmann import partitions_of
+from cobalt import snf, verify
+from cobalt.grassmann import grassmannian, partitions_of
 from cobalt.lr import lr_coefficient
 
 from echelon_oracle import pivot_columns as oracle_pivot_columns
@@ -215,6 +217,86 @@ def test_monomials_of_degree_matches_oracle(ring, degree, bound):
         assert ring.monomial_degree(witness) == degree
         assert max(witness) > bound
         assert witness == normal_form(ring, witness)
+
+
+def _count_listings(monkeypatch):
+    """The (degree, bound) of every `Ring.monomials_of_degree` call from
+    here on."""
+    calls = []
+    listing = Ring.monomials_of_degree
+
+    def counted(ring, degree, bound):
+        calls.append((degree, bound))
+        return listing(ring, degree, bound)
+
+    monkeypatch.setattr(Ring, "monomials_of_degree", counted)
+    return calls
+
+
+def test_inactive_bounds_share_one_listing(monkeypatch):
+    calls = _count_listings(monkeypatch)
+    ring = polynomial_ring("Z", [("x", 2), ("y", 3)])
+    # no exponent of a degree-12 monomial passes 12 // 2 = 6
+    assert _enumeration(ring, 12, 6) == _enumeration(ring, 12, 9)
+    assert calls == [(12, 6)]
+    # x^6 is past 5: that bound is active and listed on its own
+    monos, _ = _enumeration(ring, 12, 5)
+    assert (6, 0) not in monos and calls == [(12, 6), (12, 5)]
+    # a negative degree lists nothing under any bound, once
+    assert _enumeration(ring, -4, 0) == _enumeration(ring, -4, 3) == ([], [])
+    assert calls[2:] == [(-4, 0)]
+
+
+@pytest.mark.parametrize("ring, degree, sizes", [
+    # beta^1 alone, but an inverse keeps the (degree, bound) key
+    (laurent_ring("Z", "beta"), 1, [1, 1]),
+    # x^e * y for every e <= bound, |x| = 0
+    (Ring("Z", [GenSpec("x", 0), GenSpec("y", 1)]), 1, [4, 5]),
+    # x^a * y^(2a), so the bound on y's exponent caps a
+    (Ring("Z", [GenSpec("x", 2), GenSpec("y", -1)]), 0, [2, 3]),
+], ids=["laurent", "degree-0", "negative"])
+def test_other_rings_list_per_bound(monkeypatch, ring, degree, sizes):
+    expected = [ring.monomials_of_degree(degree, bound)[0]
+                for bound in (3, 4)]
+    assert list(map(len, expected)) == sizes
+    calls = _count_listings(monkeypatch)
+    assert [_enumeration(ring, degree, bound)[0]
+            for bound in (3, 4, 3, 4)] == expected * 2
+    assert calls == [(degree, 3), (degree, 4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumeration_rings())
+@example(Ring("Z", []))
+@example(Ring("Z", [GenSpec("x", 0), GenSpec("y", 2)]))
+def test_bound_flags_do_not_depend_on_the_memo(ring):
+    def fresh():
+        return Ring("Z", [ring.gens[i] for i, _ in ring.fields])
+
+    grid = list(product(range(-8, 11), range(4)))
+    blocks = [("e", 0), ("f", 3)], [(1, {}), (None, {}), (-2, {})]
+    used = fresh()
+    for degree, bound in grid + grid[::-1]:
+        used._beyond_bound(degree, bound)
+        lattice_truncated(used, degree, *blocks, bound)
+    for degree, bound in grid:
+        new = fresh()
+        assert used._beyond_bound(degree, bound) == \
+            new._beyond_bound(degree, bound)
+        assert lattice_truncated(used, degree, *blocks, bound) == \
+            lattice_truncated(fresh(), degree, *blocks, bound)
+
+
+def test_grassmann_ranks_list_each_degree_once(monkeypatch):
+    """A work count in place of a timing: `verify.check_grassmann_ranks()`
+    made 744 `Ring.monomials_of_degree` calls while listings were keyed
+    by (degree, bound), since the default bound of `graded_component`
+    moves with the degree and each multiplier degree was listed again
+    under every bound that reached it."""
+    grassmannian.cache_clear()
+    calls = _count_listings(monkeypatch)
+    assert verify.check_grassmann_ranks()["pass"]
+    assert len(calls) < 744
 
 
 def test_graded_component_free():
