@@ -280,9 +280,8 @@ def test_bound_flags_do_not_depend_on_the_memo(ring):
         used._beyond_bound(degree, bound)
         lattice_truncated(used, degree, *blocks, bound)
     for degree, bound in grid:
-        new = fresh()
         assert used._beyond_bound(degree, bound) == \
-            new._beyond_bound(degree, bound)
+            fresh()._beyond_bound(degree, bound)
         assert lattice_truncated(used, degree, *blocks, bound) == \
             lattice_truncated(fresh(), degree, *blocks, bound)
 
